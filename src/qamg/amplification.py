@@ -209,13 +209,37 @@ def run_alternating_measurements(
 
 def binomial_tail(p: Rational, n: int, t0: int):
     """Pr[Binomial(n, p) >= t0]; exact for Fraction p."""
-    exact = isinstance(p, (Fraction, int, str))
-    pv = as_fraction(p) if exact else float(p)
-    one = Fraction(1) if exact else 1.0
-    total = Fraction(0) if exact else 0.0
+    if not isinstance(p, (Fraction, int, str)):
+        return _binomial_tail_float(float(p), n, t0)
+    pv = as_fraction(p)
+    total = Fraction(0)
     for j in range(max(t0, 0), n + 1):
-        total += math.comb(n, j) * pv**j * (one - pv) ** (n - j)
+        total += math.comb(n, j) * pv**j * (1 - pv) ** (n - j)
     return total
+
+
+def _binomial_tail_float(p: float, n: int, t0: int) -> float:
+    """Float tail from pmf weights relative to the mode's, which is set to 1.
+
+    The weights follow the term ratio outward from the mode, so each lies in
+    [0, 1] and nothing overflows at any n.  The tail is the correctly rounded
+    sum of its weights over that of all weights, so it never exceeds 1.
+    """
+    if t0 <= 0:
+        return 1.0
+    if t0 > n or p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    odds = p / (1.0 - p)
+    mode = min(n, int((n + 1) * p))
+    weights = [0.0] * (n + 1)
+    weights[mode] = 1.0
+    for j in range(mode, n):
+        weights[j + 1] = weights[j] * (n - j) / (j + 1) * odds
+    for j in range(mode, 0, -1):
+        weights[j - 1] = weights[j] * j / (n - j + 1) / odds
+    return math.fsum(weights[t0:]) / math.fsum(weights)
 
 
 def threshold_count(n: int, a: Fraction, b: Fraction) -> int:

@@ -58,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--restarts", type=int, help="optimizer restarts")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out")
-    group = run.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true")
-    group.add_argument("--float", dest="use_float", action="store_true")
+    run.add_argument("--exact", action="store_true", help="exact dyadic arithmetic")
 
     table = sub.add_parser("table", help="collect report JSONs into a CSV")
     table.add_argument("--in", dest="in_dir", required=True)

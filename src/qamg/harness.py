@@ -103,6 +103,13 @@ def _num_from_json(value) -> Fraction:
         raise SchemaError(f"bad rational value {value!r}") from exc
 
 
+def _arity_from_json(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 # --- instance serialization ---
 
 
@@ -165,8 +172,8 @@ def instance_from_dict(data: dict) -> Instance:
             _require(data, ["m", "k", "a", "b", "circuit"])
             return QmaInstance(
                 verifier=_parse_or_schema_error(data["circuit"], "circuit"),
-                m=int(data["m"]),
-                k=int(data["k"]),
+                m=_arity_from_json(data, "m"),
+                k=_arity_from_json(data, "k"),
                 a=_num_from_json(data["a"]),
                 b=_num_from_json(data["b"]),
                 label=data.get("label"),
@@ -180,10 +187,10 @@ def instance_from_dict(data: dict) -> Instance:
                 for y, text in data["circuits"].items()
             }
             return QamInstance(
-                s=int(data["s"]),
+                s=_arity_from_json(data, "s"),
                 family=family,
-                m=int(data["m"]),
-                k=int(data["k"]),
+                m=_arity_from_json(data, "m"),
+                k=_arity_from_json(data, "k"),
                 a=_num_from_json(data["a"]),
                 b=_num_from_json(data["b"]),
             )
@@ -192,8 +199,8 @@ def instance_from_dict(data: dict) -> Instance:
             return QipInstance(
                 v1=_parse_or_schema_error(data["v1"], "v1"),
                 v2=_parse_or_schema_error(data["v2"], "v2"),
-                k=int(data["k"]),
-                m=int(data["m"]),
+                k=_arity_from_json(data, "k"),
+                m=_arity_from_json(data, "m"),
                 epsilon=_num_from_json(data["epsilon"]),
             )
     except (ValueError, TypeError) as exc:

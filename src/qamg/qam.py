@@ -10,6 +10,7 @@ reduce the accept/reject promise to integer comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Union
@@ -26,6 +27,7 @@ from .amplification import (
 )
 from .circuits import Gate, StateVector, apply_circuit, circuit
 from .spectra import (
+    SpectralDecomposition,
     acceptance_operator,
     eig_hermitian,
     rejection_operator,
@@ -71,6 +73,27 @@ class QamInstance:
     def coins(self) -> list[str]:
         return coin_strings(self.s)
 
+    @cached_property
+    def _spectra(self) -> dict:
+        # circuit -> (operator, spectrum); coins with equal circuits share one entry
+        return {}
+
+    def coin_spectrum(self, y: str) -> tuple[np.ndarray, SpectralDecomposition]:
+        """Coin y's acceptance operator and its eigensystem, built on first use.
+
+        Both live as long as the instance and are shared by every caller, so
+        the arrays are read-only.
+        """
+        circ = self.family[y]
+        entry = self._spectra.get(circ)
+        if entry is None:
+            q = acceptance_operator(circ, self.m, self.k)
+            decomp = eig_hermitian(q)
+            for arr in (q, decomp.eigenvalues, decomp.vectors):
+                arr.flags.writeable = False
+            entry = self._spectra[circ] = (q, decomp)
+        return entry
+
 
 @dataclass(frozen=True)
 class CoinSpectrum:
@@ -89,15 +112,16 @@ class CoinSpectrum:
 def coin_spectra(inst: QamInstance, check_complement: bool = True) -> dict:
     """Per-coin spectral decompositions with the complement-sums-to-identity check."""
     out = {}
+    checked = set()
     for y in inst.coins():
         circ = inst.family[y]
-        q1 = acceptance_operator(circ, inst.m, inst.k)
-        if check_complement:
+        q1, decomp = inst.coin_spectrum(y)
+        if check_complement and circ not in checked:
+            checked.add(circ)
             q0 = rejection_operator(circ, inst.m, inst.k)
             gap = np.abs(q0 + q1 - np.eye(1 << inst.m)).max()
             if gap > 1e-12:
                 raise AssertionError(f"coin {y!r}: Q0 + Q1 deviates from I by {gap}")
-        decomp = eig_hermitian(q1)
         vals = np.clip(decomp.eigenvalues, 0.0, 1.0)
         out[y] = CoinSpectrum(y, vals, 1.0 - vals, decomp.vectors)
     return out
@@ -119,7 +143,7 @@ def qam_value(inst: QamInstance, strategy: dict) -> float:
         if y not in strategy:
             raise KeyError(f"strategy missing coin {y!r}")
         psi = _witness_vec(strategy[y])
-        q = acceptance_operator(inst.family[y], inst.m, inst.k)
+        q, _ = inst.coin_spectrum(y)
         total += float(np.real(psi.conj() @ q @ psi))
     return total / (1 << inst.s)
 
@@ -171,12 +195,14 @@ def parallel_repetition_value(
         )
     ops1 = []
     ops0 = []
+    tops = []
     for y in y_tuple:
         if y not in inst.family:
             raise KeyError(f"unknown coin string {y!r}")
-        q1 = acceptance_operator(inst.family[y], inst.m, inst.k)
+        q1, decomp = inst.coin_spectrum(y)
         ops1.append(q1)
         ops0.append(np.eye(1 << inst.m) - q1)
+        tops.append(float(decomp.eigenvalues[0]))
     t0 = threshold_count(n, inst.a, inst.b)
     dim = 1 << (n * inst.m)
     total = np.zeros((dim, dim), dtype=np.complex128)
@@ -191,7 +217,6 @@ def parallel_repetition_value(
         lam = float(eig_hermitian(total).eigenvalues[0])
     else:
         lam, _ = top_eigenpair(total, dim, tol=1e-13)
-    tops = [float(eig_hermitian(q).eigenvalues[0]) for q in ops1]
     independent = float(multilinear_f(tops, t0))
     return lam, independent
 
@@ -295,8 +320,7 @@ def markov_check(
         coins = [format(int(p), f"0{inst.s}b") for p in picks]
     mu = {}
     for y in coins:
-        q = acceptance_operator(inst.family[y], inst.m, inst.k)
-        mu[y] = float(np.clip(eig_hermitian(q).eigenvalues[0], 0.0, 1.0))
+        mu[y] = float(np.clip(inst.coin_spectrum(y)[1].eigenvalues[0], 0.0, 1.0))
     report = markov_fractions(list(mu.values()), truth, tol=1e-9)
     return MarkovReport(
         report.fraction_good,
@@ -328,8 +352,7 @@ def bp_pp_conditions(inst: QamInstance, tol: float = 1e-9) -> list[CoinCertifica
     rows = []
     r = inst.m + 2
     for y in inst.coins():
-        q = acceptance_operator(inst.family[y], inst.m, inst.k)
-        mu = float(np.clip(eig_hermitian(q).eigenvalues[0], 0.0, 1.0))
+        mu = float(np.clip(inst.coin_spectrum(y)[1].eigenvalues[0], 0.0, 1.0))
         coin_inst = QmaInstance(
             inst.family[y], inst.m, inst.k, Fraction(2, 3), Fraction(1, 3)
         )

@@ -250,9 +250,21 @@ class OptimizationResult:
 
 
 def _polar_align(c: np.ndarray) -> np.ndarray:
-    """Unitary U maximizing Re tr(U C)."""
-    v, _, wh = np.linalg.svd(c)
+    """Unitary U maximizing Re tr(U C).
+
+    For a wide r x d block C_r of C = Q C_r (Q with r orthonormal columns),
+    returns the d x r block U Q = Z W^H of every maximizer, from the thin
+    SVD C_r = W S Z^H.
+    """
+    v, _, wh = np.linalg.svd(c, full_matrices=False)
     return (v @ wh).conj().T
+
+
+def _complete_unitary(cols: np.ndarray) -> np.ndarray:
+    """Square unitary whose leading columns are the orthonormal columns given."""
+    full, _ = np.linalg.qr(cols, mode="complete")
+    full[:, : cols.shape[1]] = cols
+    return full
 
 
 def _seesaw_cheat(
@@ -262,51 +274,63 @@ def _seesaw_cheat(
     tol: float,
     max_iters: int,
 ) -> tuple[float, np.ndarray, dict, bool, int]:
+    """See-saw in the row space of the starting state.
+
+    With psi0 reshaped to P0 (first register by the rest) and the thin QR
+    P0^T = Q R, every iterate is P = A Q^T: the state step only mixes
+    T_y conj(U_y) = T_y conj(V_y) Q^T, because the unitary step aligns
+    V_y = U_y Q with the rows of T_y.  So the loop carries A (2^k x r) and
+    V_y (du x r), r = min(2^k, du), and builds each full U_y once on return,
+    mapping the complement of Q's span onto the complement of V_y's.
+    """
     coins = game.coins()
     weight = 1.0 / len(coins)
     dim_first = 1 << game.k
     dim_front = 1 << (game.k + game.m)
-    psi = psi0 / np.linalg.norm(psi0)
-    us = dict(u0)
+    psi0 = psi0 / np.linalg.norm(psi0)
+    q_basis, r_factor = np.linalg.qr(psi0.reshape(dim_first, -1).T)
+    a_mat = r_factor.T
+    vs = {y: u0[y] @ q_basis for y in coins}
     value = -1.0
+    converged, it = False, max_iters
     for it in range(1, max_iters + 1):
         # target step: project each moved state onto its accepting subspace
         targets = {}
         new_value = 0.0
         for y in coins:
-            moved = _apply_last(psi, us[y], dim_first)
+            moved = (a_mat @ vs[y].T).reshape(-1)
             projected = _apply_first(moved, game.lambdas[y], dim_front)
             new_value += weight * float(np.real(np.vdot(moved, projected)))
             norm = np.linalg.norm(projected)
-            targets[y] = projected / norm if norm > 1e-150 else None
+            targets[y] = projected.reshape(dim_first, -1) / norm if norm > 1e-150 else None
         if new_value < value - 1e-9:
             raise AssertionError(f"see-saw value decreased: {value} -> {new_value}")
         if new_value <= value + tol:
-            return max(new_value, value), psi, us, True, it
+            value, converged = max(new_value, value), True
+            break
         value = new_value
         # unitary step: best alignment of the state with each target
-        psi_mat = psi.reshape(dim_first, -1)
         for y in coins:
-            if targets[y] is None:
-                continue
-            t_mat = targets[y].reshape(dim_first, -1)
-            us[y] = _polar_align((t_mat.conj().T @ psi_mat).T)
+            if targets[y] is not None:
+                vs[y] = _polar_align(a_mat.T @ targets[y].conj())
         # state step: top eigenvector of the rank-|coins| induced operator
         back = [
-            _apply_last(targets[y], us[y].conj().T, dim_first)
-            for y in coins
-            if targets[y] is not None
+            (targets[y] @ vs[y].conj()).reshape(-1) for y in coins if targets[y] is not None
         ]
         if not back:
-            return value, psi, us, True, it
+            converged = True
+            break
         b = np.stack(back, axis=1) * math.sqrt(weight)
         gram = b.conj().T @ b
         coeff = eig_hermitian(gram).vectors[:, 0]
         candidate = b @ coeff
         norm = np.linalg.norm(candidate)
         if norm > 1e-150:
-            psi = candidate / norm
-    return value, psi, us, False, max_iters
+            a_mat = candidate.reshape(a_mat.shape) / norm
+    psi = (a_mat @ q_basis.T).reshape(-1)
+    q_full = _complete_unitary(q_basis).conj().T
+    us = {y: _complete_unitary(vs[y]) @ q_full for y in coins}
+    return value, psi, us, converged, it
 
 
 def optimize_cheating(

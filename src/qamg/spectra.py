@@ -3,8 +3,7 @@
 The acceptance operator of a verifier circuit A on m message qubits with k
 workspace qubits is Q[i,j] = <0|A(j)* P1 A(i)|0> restricted to the message
 register: its eigenvalues are the acceptance probabilities of the optimal
-witnesses.  Eigenproblems are solved by cyclic-by-rows complex Jacobi
-rotations; deterministic and dependency-free, adequate for desk-scale dims.
+witnesses.  Eigenproblems are solved by LAPACK through `numpy.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -17,16 +16,10 @@ import numpy as np
 from .circuits import Circuit, StateVector, apply_circuit, output_qubit_projector
 from .exact import ExactScalar
 
-JACOBI_MAX_SWEEPS = 64
-JACOBI_REL_TOL = 1e-12
 _EIG_DIM_CAP = 1 << 14
 
 MESSAGE_FIRST = "message_first"
 WORK_FIRST = "work_first"
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class SpectralDecomposition:
 
 
 def eig_hermitian(matrix: Union[np.ndarray, Sequence[Sequence[complex]]]) -> SpectralDecomposition:
-    """Full eigensystem of a Hermitian matrix by cyclic complex Jacobi sweeps."""
+    """Full eigensystem of a Hermitian matrix by LAPACK (`numpy.linalg.eigh`)."""
     h = np.array(matrix, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -51,41 +44,9 @@ def eig_hermitian(matrix: Union[np.ndarray, Sequence[Sequence[complex]]]) -> Spe
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     if float(np.abs(h - h.conj().T).max(initial=0.0)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    h = 0.5 * (h + h.conj().T)
-    vectors = np.eye(n, dtype=np.complex128)
-    threshold = JACOBI_REL_TOL * max(np.linalg.norm(h), 1e-300)
-
-    def off_norm() -> float:
-        off = h - np.diag(np.diag(h))
-        return float(np.linalg.norm(off))
-
-    sweeps = 0
-    while off_norm() > threshold:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = h[p, q]
-                mag = abs(hpq)
-                if mag <= threshold / max(n, 1):
-                    continue
-                phase = hpq / mag
-                tau = (h[p, p].real - h[q, q].real) / (2.0 * mag)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, -s * phase], [s * np.conj(phase), c]])
-                h[[p, q], :] = rot.conj().T @ h[[p, q], :]
-                h[:, [p, q]] = h[:, [p, q]] @ rot
-                vectors[:, [p, q]] = vectors[:, [p, q]] @ rot
-        sweeps += 1
-
-    values = np.real(np.diag(h))
-    order = np.argsort(-values, kind="stable")
-    return SpectralDecomposition(values[order].copy(), vectors[:, order].copy())
+    values, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    # eigh ascends; reverse to descending
+    return SpectralDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
 
 
 def top_eigenpair(
@@ -98,7 +59,7 @@ def top_eigenpair(
     """Largest eigenpair of a PSD Hermitian operator by power iteration.
 
     Used where only the top of the spectrum is needed and dims outgrow the
-    dense Jacobi path; deterministic for a fixed seed.
+    dense path; deterministic for a fixed seed.
     """
     apply_op = matrix_or_apply if callable(matrix_or_apply) else (lambda v: matrix_or_apply @ v)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -244,6 +244,38 @@ class TestAnalyticAcceptance:
         assert threshold_count(3, Fraction(2, 3), Fraction(1, 3)) == 2
 
 
+def _integer_pmf(p: Fraction, n: int) -> list[int]:
+    """Exact Binomial(n, p) pmf numerators over the common denominator den^n."""
+    a, d = p.numerator, p.denominator
+    return [math.comb(n, j) * a**j * (d - a) ** (n - j) for j in range(n + 1)]
+
+
+class TestBinomialTail:
+    def test_float_matches_exact_tail_up_to_2048(self):
+        # float tails once overflowed past n ~ 1030 (math.comb taken as float)
+        for p in (Fraction(3, 4), Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)):
+            for n in (1, 5, 32, 1031, 2048):
+                pmf = _integer_pmf(p, n)
+                for t0 in sorted({0, 1, n // 2, int(n * p), int(n * p) + 3, n, n + 1}):
+                    exact = Fraction(sum(pmf[t0:]), p.denominator**n)
+                    if n <= 32:
+                        assert binomial_tail(p, n, t0) == exact
+                    got = binomial_tail(float(p), n, t0)
+                    assert abs(got - float(exact)) <= 1e-12
+                    assert 0.0 <= got <= 1.0
+
+    def test_float_tail_never_exceeds_one(self):
+        assert binomial_tail(0.8, 1000, 500) <= 1.0
+        assert binomial_tail(0.0, 8, 1) == 0.0
+        assert binomial_tail(1.0, 8, 8) == 1.0
+
+    def test_amplified_float_acceptance_past_1030_events(self):
+        inst = _identity_instance()
+        amp = amplify_preserving_witness(inst, 40)  # 1280 events
+        assert amp.acceptance_probability(float(inst.a)) >= 1 - 2.0**-40
+        assert amp.acceptance_probability(float(inst.b)) <= 2.0**-40
+
+
 class TestAmplifyPreservingWitness:
     def test_event_count_formula(self):
         amp = amplify_preserving_witness(_identity_instance(), r=2)

@@ -111,6 +111,13 @@ class TestInstanceJson:
         with pytest.raises(SchemaError):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize("field, value", [("m", 1.9), ("k", True), ("m", "1")])
+    def test_non_integer_arity(self, field, value):
+        data = instance_to_dict(generate_instance("qma-p", seed=0))
+        data[field] = value
+        with pytest.raises(SchemaError, match=field):
+            instance_from_dict(data)
+
     def test_invariant_violations_become_schema_errors(self):
         data = instance_to_dict(generate_instance("qma-p", seed=0))
         data["a"], data["b"] = "1/4", "3/4"  # thresholds out of order
@@ -401,7 +408,7 @@ class TestCli:
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         assert main(["gen", "--kind", "nonsense", "--out", "x.json"]) == 2
         assert main(["run", "--instance", "x.json", "--mode", "enumerate",
-                     "--exact", "--float"]) == 2
+                     "--float"]) == 2  # float is the default; the flag is gone
         assert main(["gen", "--kind", "qma-p", "--target", "junk",
                      "--out", str(tmp_path / "x.json")]) == 2
         capsys.readouterr()
@@ -419,6 +426,11 @@ class TestCli:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"type": "qma"}))
         assert main(["run", "--instance", str(wrong), "--mode", "analytic"]) == 4
+        data = instance_to_dict(generate_instance("qam-random", seed=0, **KIND_PARAMS["qam-random"]))
+        for field, value in (("m", 1.9), ("s", True)):
+            arity = tmp_path / f"arity-{field}.json"
+            arity.write_text(json.dumps(dict(data, **{field: value})))
+            assert main(["run", "--instance", str(arity), "--mode", "enumerate"]) == 4
 
     def test_width_cap_exit_five(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QAMG_WIDTH_CAP", "2")

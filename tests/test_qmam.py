@@ -2,12 +2,14 @@
 
 Oracles: dim-2 cheating optima have a closed form (the tested subspaces
 reduce to single pure states), message-spectator gadgets reduce to a small
-eigenvalue problem, and product strategies must square the single-shot
-value under two-fold repetition.
+eigenvalue problem, product strategies must square the single-shot value
+under two-fold repetition, and the reduced-rank see-saw must retrace a
+full-unitary see-saw kept here as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from qamg.circuits import (
     toffoli,
     x_gates,
 )
+from qamg.harness import generate_instance
 from qamg.qmam import (
     MerlinStrategy,
     QipInstance,
@@ -45,6 +48,7 @@ from qamg.qmam import (
     translate_honest,
     uhlmann_bound_check,
 )
+from qamg.qmam import _apply_first, _apply_last, _seesaw_cheat
 from qamg.spectra import eig_hermitian, partial_trace
 
 
@@ -373,6 +377,82 @@ class TestCheating:
         result = optimize_cheating(inst, restarts=2)
         assert result.iterations >= 1
         assert isinstance(result.strategy, MerlinStrategy)
+
+
+def _reference_seesaw(game, psi0, u0, tol, max_iters):
+    """Full-unitary see-saw: du x du polar steps by full SVD at every iteration."""
+    coins = game.coins()
+    weight = 1.0 / len(coins)
+    dim_first = 1 << game.k
+    dim_front = 1 << (game.k + game.m)
+    psi = psi0 / np.linalg.norm(psi0)
+    us = dict(u0)
+    value = -1.0
+    for it in range(1, max_iters + 1):
+        targets = {}
+        new_value = 0.0
+        for y in coins:
+            moved = _apply_last(psi, us[y], dim_first)
+            projected = _apply_first(moved, game.lambdas[y], dim_front)
+            new_value += weight * float(np.real(np.vdot(moved, projected)))
+            norm = np.linalg.norm(projected)
+            targets[y] = projected / norm if norm > 1e-150 else None
+        assert new_value >= value - 1e-9
+        if new_value <= value + tol:
+            return max(new_value, value), psi, us, True, it
+        value = new_value
+        psi_mat = psi.reshape(dim_first, -1)
+        for y in coins:
+            if targets[y] is None:
+                continue
+            c = (targets[y].reshape(dim_first, -1).conj().T @ psi_mat).T
+            v, _, wh = np.linalg.svd(c)
+            us[y] = (v @ wh).conj().T
+        back = [
+            _apply_last(targets[y], us[y].conj().T, dim_first)
+            for y in coins
+            if targets[y] is not None
+        ]
+        if not back:
+            return value, psi, us, True, it
+        b = np.stack(back, axis=1) * math.sqrt(weight)
+        coeff = eig_hermitian(b.conj().T @ b).vectors[:, 0]
+        candidate = b @ coeff
+        norm = np.linalg.norm(candidate)
+        if norm > 1e-150:
+            psi = candidate / norm
+    return value, psi, us, False, max_iters
+
+
+class TestReducedSeesaw:
+    @pytest.mark.parametrize(
+        "kind, params, seed",
+        [
+            ("qip-no", {"k": 3, "m": 1, "coins": 2}, 0),
+            ("qip-no", {"k": 3, "m": 1, "coins": 2}, 1),
+            ("qip-perfect", {"k": 2, "m": 1}, 2),
+            ("qip-perfect", {"k": 2, "m": 1}, 3),
+            ("qip-perfect", {"k": 2, "m": 1}, 4),
+        ],
+    )
+    def test_matches_full_unitary_reference(self, kind, params, seed):
+        game = cheat_game(build_qmam(generate_instance(kind, seed, **params)))
+        dim = 1 << game.total_qubits
+        du = 1 << (game.m + game.l)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        identity = {y: np.eye(du, dtype=np.complex128) for y in game.coins()}
+        # a random, non-identity starting response as in the seeds= path
+        rotated = {y: np.linalg.qr(rng.normal(size=(du, du)) + 1j * rng.normal(size=(du, du)))[0]
+                   for y in game.coins()}
+        for u0 in (identity, identity, rotated):
+            psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            ref = _reference_seesaw(game, psi0, u0, 1e-8, 500)
+            value, psi, us, converged, iters = _seesaw_cheat(game, psi0, u0, 1e-8, 500)
+            assert iters == ref[4]
+            assert converged == ref[3]
+            assert abs(value - ref[0]) < 1e-8
+            strategy = MerlinStrategy(psi=psi, u_by_coin=us)
+            assert abs(strategy_value(game, strategy.psi, strategy.u_by_coin) - value) < 1e-9
 
 
 class TestTwoWays:

@@ -1,8 +1,8 @@
 """Spectra tests.
 
-The Jacobi eigensolver is checked against an exact characteristic polynomial
-computed by Leibniz expansion over Gaussian rationals, plus residual and
-trace identities.  Acceptance operators are checked against hand-computed
+The Hermitian eigensolver (a wrapper on LAPACK) is checked against an exact
+characteristic polynomial computed by Leibniz expansion over Gaussian
+rationals, plus residual and trace identities.  Acceptance operators are checked against hand-computed
 2x2 cases and exact/float agreement on random circuits.
 """
 
