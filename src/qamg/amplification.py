@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -27,7 +28,7 @@ from .circuits import (
     to_unitary,
     workspace_zero_projector,
 )
-from .exact import ExactScalar
+from .exact import ExactScalar, plane_matmul, planes_from_scalars
 from .spectra import acceptance_operator, acceptance_operator_exact
 
 ENUMERATE_EVENT_CAP = 20
@@ -75,8 +76,15 @@ class QmaInstance:
         """Smallest integer q with 1/q <= a - b."""
         return math.ceil(1 / (self.a - self.b))
 
+    @cached_property
+    def _q_float(self) -> np.ndarray:
+        q = acceptance_operator(self.verifier, self.m, self.k)
+        q.flags.writeable = False
+        return q
+
     def q_operator(self) -> np.ndarray:
-        return acceptance_operator(self.verifier, self.m, self.k)
+        """Float acceptance operator, built on first use; shared, so read-only."""
+        return self._q_float
 
     def q_operator_exact(self) -> list[list[ExactScalar]]:
         return acceptance_operator_exact(self.verifier, self.m, self.k)
@@ -108,16 +116,16 @@ def _embed_witness(witness: StateVector, m: int, k: int) -> StateVector:
     """Witness on m qubits joined with k work qubits in |0..0> (message first)."""
     if witness.n != m:
         raise ValueError(f"witness width {witness.n} != m = {m}")
+    rows = np.arange(1 << m) << k
     if witness.exact:
-        planes = tuple(np.zeros(1 << (m + k), dtype=p.dtype) for p in witness.planes)
-        for full, msg in zip(planes, witness.planes):
-            full[np.arange(1 << m) << k] = msg
+        planes = np.zeros((4, 1 << (m + k)), dtype=witness.planes.dtype)
+        planes[:, rows] = witness.planes
         return StateVector(
             m + k, True, planes=planes, exponent=witness.exponent,
             mag_bits=witness._mag_bits,
         )
     vec = np.zeros(1 << (m + k), dtype=np.complex128)
-    vec[np.arange(1 << m) << k] = witness.vec
+    vec[rows] = witness.vec
     return StateVector(m + k, False, vec=vec)
 
 
@@ -128,12 +136,6 @@ def _check_normalized(witness: StateVector) -> None:
             raise ValueError("witness must be exactly normalized in exact mode")
     elif abs(ns - 1.0) > 1e-9:
         raise ValueError(f"witness norm^2 = {ns}, not normalized")
-
-
-def _is_dead(state: StateVector) -> bool:
-    if state.exact:
-        return not any(p.any() for p in state.planes)
-    return not state.vec.any()
 
 
 def run_alternating_measurements(
@@ -184,26 +186,24 @@ def run_alternating_measurements(
             f"enumerate mode capped at {ENUMERATE_EVENT_CAP} events, got {n_events}"
         )
 
-    start = _embed_witness(witness, inst.m, inst.k)
-    branches = [((), 1, start)]  # (z-prefix, y_prev, unnormalized state)
+    # every live branch is one column of `state`; row b of z is its agreement prefix
+    state = _embed_witness(witness, inst.m, inst.k)
+    z = np.zeros((1, 0), dtype=np.int8)
+    y_prev = np.ones(1, dtype=np.int8)
     for i in range(1, n_events + 1):
-        circ = forward if i % 2 == 1 else backward
-        mask = pi_mask if i % 2 == 1 else delta_mask
-        nxt = []
-        for z, y_prev, state in branches:
-            moved = apply_circuit(state, circ)
-            for outcome, keep in ((1, mask), (0, ~mask)):
-                branch = moved.project(keep)
-                if _is_dead(branch):
-                    continue
-                nxt.append((z + (1 if outcome == y_prev else 0,), outcome, branch))
-        branches = nxt
+        odd = i % 2 == 1
+        state = apply_circuit(state, forward if odd else backward)
+        state = state.split(pi_mask if odd else delta_mask)
+        y = np.tile(np.array([1, 0], dtype=np.int8), len(y_prev))
+        z = np.column_stack([np.repeat(z, 2, axis=0), y == np.repeat(y_prev, 2)])
+        live = state.live_columns()
+        state, z, y_prev = state.select(live), z[live], y[live]
 
-    probs: dict = {}
-    for z, _, state in branches:
-        ns = state.norm_sq()
-        p = ns.to_fraction() if witness.exact else float(ns)
-        probs[z] = probs.get(z, 0) + p
+    norms = state.norms_sq()
+    probs = {
+        tuple(row): ns.to_fraction() if witness.exact else ns
+        for row, ns in zip(z.tolist(), norms)
+    }
     return TrajectoryDistribution(n_events, probs, threshold)
 
 
@@ -356,20 +356,18 @@ class GapCertificate:
         return 2 * self.h - 2**self.g
 
 
-def _exact_trace(q: list[list[ExactScalar]]) -> Fraction:
-    total = Fraction(0)
-    for i in range(len(q)):
-        d = q[i][i]
-        if not d.is_rational():
-            raise ValueError("acceptance operator diagonal must be rational")
-        total += d.to_fraction()
-    return total
+def _exact_trace(planes: np.ndarray, e: int) -> Fraction:
+    """Trace of the matrix held by (4, d, d) planes at exponent e."""
+    diag = planes.diagonal(axis1=1, axis2=2)
+    if (diag[1:] != 0).any():
+        raise ValueError("acceptance operator diagonal must be rational")
+    return Fraction(int(diag[0].sum()), 1 << e)
 
 
 def counting_certificate(inst: QmaInstance) -> GapCertificate:
     """tr(Q) = h / 2^g bit-exactly, g = Hadamard count of the verifier."""
     g = inst.verifier.hadamard_count()
-    trace = _exact_trace(inst.q_operator_exact())
+    trace = _exact_trace(*planes_from_scalars(inst.q_operator_exact()))
     h = trace * 2**g
     if h.denominator != 1:
         raise ValueError(f"trace {trace} is not dyadic with exponent {g}")
@@ -388,25 +386,6 @@ def tail_polynomial_coefficients(n: int, t0: int) -> list[int]:
     return coeffs
 
 
-def _exact_identity(dim: int) -> list[list[ExactScalar]]:
-    one, zero = ExactScalar.from_int(1), ExactScalar.from_int(0)
-    return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-
-
-def _exact_matmul(a: list[list[ExactScalar]], b: list[list[ExactScalar]]) -> list[list[ExactScalar]]:
-    dim = len(a)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = ExactScalar.from_int(0)
-            for t in range(dim):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def amplified_counting_certificate(inst: QmaInstance, r: int) -> GapCertificate:
     """Certificate for the amplified game, via the agreement-tail polynomial.
 
@@ -421,13 +400,14 @@ def amplified_counting_certificate(inst: QmaInstance, r: int) -> GapCertificate:
     if g > _CERT_EXPONENT_CAP:
         raise ValueError(f"certificate exponent {g} exceeds cap {_CERT_EXPONENT_CAP}")
     coeffs = tail_polynomial_coefficients(n, threshold_count(n, inst.a, inst.b))
-    q = inst.q_operator_exact()
-    power = _exact_identity(len(q))
-    trace = Fraction(coeffs[0]) * len(q)
+    q, e = planes_from_scalars(inst.q_operator_exact())
+    trace = Fraction(coeffs[0]) * q.shape[1]
+    power = q  # Q^t at exponent t*e
     for t in range(1, n + 1):
-        power = _exact_matmul(power, q)
+        if t > 1:
+            power = plane_matmul(power, q)
         if coeffs[t]:
-            trace += coeffs[t] * _exact_trace(power)
+            trace += coeffs[t] * _exact_trace(power, t * e)
     h = trace * 2**g
     if h.denominator != 1:
         raise ValueError(f"amplified trace {trace} is not dyadic with exponent {g}")
@@ -448,26 +428,19 @@ def mixed_state_acceptance(inst: QmaInstance, exact: bool = False):
     the verifier's output-qubit statistics over every standard-basis message.
     """
     dim = 1 << inst.m
+    width = inst.verifier.width
+    block = apply_circuit(
+        StateVector.columns(width, [j << inst.k for j in range(dim)], exact), inst.verifier
+    )
+    accepted = block.project(output_qubit_projector(0).outcome_one_mask(width)).norms_sq()
     if exact:
-        trace_route = _exact_trace(inst.q_operator_exact()) / dim
-        avg = Fraction(0)
-        for j in range(dim):
-            st = StateVector.basis(inst.verifier.width, j << inst.k, exact=True)
-            st = apply_circuit(st, inst.verifier)
-            prob_one, _, _ = measure_projector(st, output_qubit_projector(0))
-            avg += prob_one.to_fraction()
-        avg /= dim
+        trace_route = _exact_trace(*planes_from_scalars(inst.q_operator_exact())) / dim
+        avg = sum(p.to_fraction() for p in accepted) / dim
         if trace_route != avg:
             raise AssertionError(f"exact routes disagree: {trace_route} vs {avg}")
         return trace_route
     trace_route = float(np.trace(inst.q_operator()).real) / dim
-    avg = 0.0
-    for j in range(dim):
-        st = StateVector.basis(inst.verifier.width, j << inst.k)
-        st = apply_circuit(st, inst.verifier)
-        prob_one, _, _ = measure_projector(st, output_qubit_projector(0))
-        avg += prob_one
-    avg /= dim
+    avg = sum(accepted) / dim
     if abs(trace_route - avg) > 1e-12:
         raise AssertionError(f"routes disagree: {trace_route} vs {avg}")
     return trace_route

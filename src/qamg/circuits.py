@@ -1,10 +1,19 @@
 """Circuits over the {Toffoli, Hadamard, i-shift} gate set and their statevectors.
 
-Qubit 0 is the leftmost / most significant bit of a basis index.  Exact-mode
-states store Gaussian-integer coefficient planes for 1 and sqrt(2) with a
-single shared power-of-two exponent, so gate application is integer-only:
-Hadamard is add/subtract plus an exponent bump, the i-shift is a component
-rotation, and Toffoli is a slice swap.
+Qubit 0 is the leftmost / most significant bit of a basis index.  One kernel
+simulates every circuit: a `StateVector` holds one state or a (2^n, B) block
+of B columns, and each gate acts in place on all columns through reshaped
+views.  Hadamard and the i-shift act on a (2^q, 2, 2^(n-1-q), B) view, and
+Toffoli swaps two slices of a (2,)*n + (B,) view.  Operators, unitaries and
+the live branches of a trajectory tree are each simulated as one block.
+
+Float blocks are complex128.  Exact blocks hold Gaussian-integer coefficient
+planes for 1 and sqrt(2) with a single shared power-of-two exponent, so gate
+application is integer-only: Hadamard is add/subtract plus an exponent bump,
+the i-shift is a component rotation, and Toffoli is a slice swap.  After each
+circuit the power of two that every entry shares is divided out, so planes
+stay int64 and widen to Python ints only past 62 bits.  Exact inner products
+and Gram matrices are integer matrix products of the planes.
 """
 
 from __future__ import annotations
@@ -15,7 +24,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import ExactScalar
+from .exact import (
+    ExactScalar,
+    fit_int64,
+    plane_adjoint,
+    plane_matmul,
+    planes_from_scalars,
+    scalars_from_planes,
+)
 
 FLOAT_WIDTH_CAP = 14
 EXACT_WIDTH_CAP = 10
@@ -267,7 +283,14 @@ def prefix_zero_projector(k: int) -> ProjectorSpec:
 
 
 class StateVector:
-    """Dense state on n qubits, exact (integer planes) or float (complex128)."""
+    """Dense states on n qubits: one column, or a block of B columns.
+
+    Float data is `vec`, of shape (2^n,) for one state or (2^n, B) for a
+    block.  Exact data is `planes`, of shape (4,) + that: Re x, Im x, Re y and
+    Im y of every amplitude (x + y*sqrt(2)) / 2**exponent, with one exponent
+    for the whole block.  Gates act on every column at once, in place, through
+    reshaped views.
+    """
 
     __slots__ = ("n", "exact", "vec", "planes", "exponent", "_mag_bits")
 
@@ -276,9 +299,9 @@ class StateVector:
         n: int,
         exact: bool,
         vec: np.ndarray | None = None,
-        planes: tuple[np.ndarray, ...] | None = None,
+        planes: np.ndarray | None = None,
         exponent: int = 0,
-        mag_bits: int = 1,
+        mag_bits: int | None = None,
         skip_cap_check: bool = False,
     ) -> None:
         if not skip_cap_check:
@@ -287,22 +310,35 @@ class StateVector:
                 raise WidthCapError(f"width {n} exceeds {'exact' if exact else 'float'} cap {cap}")
         self.n = n
         self.exact = exact
-        self.vec = vec
-        self.planes = planes
+        # gates write through reshaped views, which must not be copies
+        self.vec = None if vec is None else np.ascontiguousarray(vec)
+        self.planes = None if planes is None else np.ascontiguousarray(planes)
         self.exponent = exponent
+        # an upper bound on the bit length of every |plane entry|
         self._mag_bits = mag_bits
+        if exact and mag_bits is None:
+            self._normalize()
+
+    @classmethod
+    def columns(cls, n: int, indices: Iterable[int], exact: bool = False) -> StateVector:
+        """Block whose column j is the basis state |indices[j]>."""
+        indices = list(indices)
+        for index in indices:
+            if not 0 <= index < (1 << n):
+                raise ValueError(f"basis index {index} out of range for width {n}")
+        shape = (1 << n, len(indices))
+        cols = np.arange(len(indices))
+        if exact:
+            planes = np.zeros((4,) + shape, dtype=np.int64)
+            planes[0, indices, cols] = 1
+            return cls(n, True, planes=planes, mag_bits=1)
+        vec = np.zeros(shape, dtype=np.complex128)
+        vec[indices, cols] = 1.0
+        return cls(n, False, vec=vec)
 
     @classmethod
     def basis(cls, n: int, index: int = 0, exact: bool = False) -> StateVector:
-        if not 0 <= index < (1 << n):
-            raise ValueError(f"basis index {index} out of range for width {n}")
-        if exact:
-            planes = tuple(np.zeros(1 << n, dtype=np.int64) for _ in range(4))
-            planes[0][index] = 1
-            return cls(n, True, planes=planes, exponent=0, mag_bits=1)
-        vec = np.zeros(1 << n, dtype=np.complex128)
-        vec[index] = 1.0
-        return cls(n, False, vec=vec)
+        return cls.columns(n, [index], exact).column(0)
 
     @classmethod
     def from_amplitudes(cls, amps: Sequence, exact: bool = False) -> StateVector:
@@ -315,105 +351,101 @@ class StateVector:
             return cls(n, False, vec=vec)
         if not all(isinstance(a, ExactScalar) for a in amps):
             raise TypeError("exact states take ExactScalar amplitudes")
-        e = max(a.components[4] for a in amps)
-        planes = tuple(np.zeros(size, dtype=object) for _ in range(4))
-        for i, a in enumerate(amps):
-            xr, xi, yr, yi, ea = a.components
-            shift = e - ea
-            planes[0][i] = xr << shift
-            planes[1][i] = xi << shift
-            planes[2][i] = yr << shift
-            planes[3][i] = yi << shift
-        state = cls(n, True, planes=planes, exponent=e, mag_bits=0)
-        state._refresh_mag_bits()
-        return state
+        planes, e = planes_from_scalars([amps])
+        return cls(n, True, planes=planes[:, 0, :], exponent=e)
 
-    def _refresh_mag_bits(self) -> None:
-        assert self.planes is not None
-        bits = 1
-        for plane in self.planes:
-            for v in plane:
-                b = int(v).bit_length()
-                if b > bits:
-                    bits = b
-        self._mag_bits = bits
+    def _normalize(self) -> None:
+        """Divide out the power of two every entry shares, keeping the exponent >= 0.
 
-    def copy(self) -> StateVector:
+        Amplitudes keep their values.  `_mag_bits` becomes the largest bit
+        length, and object planes return to int64 when that fits.
+        """
+        p = self.planes
+        common = int(np.bitwise_or.reduce(p, axis=None))
+        shift = min((common & -common).bit_length() - 1, self.exponent) if common else self.exponent
+        if shift:
+            p >>= shift
+            self.exponent -= shift
+        self._mag_bits = max(1, int(np.abs(p).max(initial=0)).bit_length())
+        if p.dtype == object and self._mag_bits <= _INT64_SAFE_BITS:
+            self.planes = p.astype(np.int64)
+
+    @property
+    def _data(self) -> np.ndarray:
+        return self.planes if self.exact else self.vec
+
+    def _like(self, data: np.ndarray) -> StateVector:
+        """A state of the same mode and exponent holding `data`."""
         if self.exact:
             return StateVector(
-                self.n, True,
-                planes=tuple(p.copy() for p in self.planes),
-                exponent=self.exponent, mag_bits=self._mag_bits,
-                skip_cap_check=True,
+                self.n, True, planes=data, exponent=self.exponent,
+                mag_bits=self._mag_bits, skip_cap_check=True,
             )
-        return StateVector(self.n, False, vec=self.vec.copy(), skip_cap_check=True)
+        return StateVector(self.n, False, vec=data, skip_cap_check=True)
 
-    def _widen_if_needed(self, extra_bits: int) -> None:
-        if self.planes[0].dtype == np.int64 and self._mag_bits + extra_bits > _INT64_SAFE_BITS:
-            self.planes = tuple(p.astype(object) for p in self.planes)
+    def _view(self, *shape: int) -> np.ndarray:
+        """The data as (planes,) + shape + (B,), a view."""
+        lead = (4,) if self.exact else ()
+        return self._data.reshape(lead + shape + (-1,))
 
-    # gate application (in place)
+    def copy(self) -> StateVector:
+        return self._like(self._data.copy())
 
-    def _pairs(self, q: int) -> tuple[np.ndarray, ...]:
-        shape = (1 << q, 2, 1 << (self.n - 1 - q))
-        if self.exact:
-            return tuple(p.reshape(shape) for p in self.planes)
-        return (self.vec.reshape(shape),)
+    def column(self, j: int) -> StateVector:
+        """Column j of a block, as a single state."""
+        return self._like(self._view(1 << self.n)[..., j].copy())
+
+    def select(self, cols) -> StateVector:
+        """The block of the chosen columns (indices or a boolean mask)."""
+        return self._like(self._view(1 << self.n)[..., cols])
+
+    # gate application (in place, every column at once)
 
     def apply_gate(self, g: Gate) -> None:
-        if g.kind == "H":
-            q = g.qubits[0]
+        n = self.n
+        if g.kind == "T":
+            c1, c2, t = g.qubits
+            lo = [slice(None)] * n
+            lo[c1] = lo[c2] = 1
+            hi = list(lo)
+            lo[t], hi[t] = 0, 1
+            v = self._view(*(2,) * n)
+            a, b = v[(..., *lo, slice(None))], v[(..., *hi, slice(None))]
+            tmp = a.copy()
+            a[...] = b
+            b[...] = tmp
+            return
+        if (
+            g.kind == "H" and self.exact and self.planes.dtype == np.int64
+            and self._mag_bits + 2 > _INT64_SAFE_BITS
+        ):
+            self._normalize()  # the running bound may be loose; widen on the real size
+            if self._mag_bits + 2 > _INT64_SAFE_BITS:
+                self.planes = self.planes.astype(object)
+        q = g.qubits[0]
+        v = self._view(1 << q, 2, 1 << (n - 1 - q))
+        zero, one = v[..., 0, :, :], v[..., 1, :, :]
+        if g.kind == "S":
             if self.exact:
-                self._widen_if_needed(2)
-                xr, xi, yr, yi = self._pairs(q)
-                sxr, dxr = xr[:, 0, :] + xr[:, 1, :], xr[:, 0, :] - xr[:, 1, :]
-                sxi, dxi = xi[:, 0, :] + xi[:, 1, :], xi[:, 0, :] - xi[:, 1, :]
-                syr, dyr = yr[:, 0, :] + yr[:, 1, :], yr[:, 0, :] - yr[:, 1, :]
-                syi, dyi = yi[:, 0, :] + yi[:, 1, :], yi[:, 0, :] - yi[:, 1, :]
+                # i*(re + i im) = -im + i re, for x and for y
+                re, im = one[0::2], one[1::2]
+                tmp = re.copy()
+                np.negative(im, out=re)
+                im[...] = tmp
+            else:
+                one *= 1j
+        elif g.kind == "H":
+            s, d = zero + one, zero - one
+            if self.exact:
                 # (x + y*sqrt2)/sqrt2 = (2y + x*sqrt2)/2
-                xr[:, 0, :], yr[:, 0, :] = 2 * syr, sxr
-                xr[:, 1, :], yr[:, 1, :] = 2 * dyr, dxr
-                xi[:, 0, :], yi[:, 0, :] = 2 * syi, sxi
-                xi[:, 1, :], yi[:, 1, :] = 2 * dyi, dxi
+                zero[:2], zero[2:] = 2 * s[2:], s[:2]
+                one[:2], one[2:] = 2 * d[2:], d[:2]
                 self.exponent += 1
                 self._mag_bits += 2
             else:
-                (v,) = self._pairs(q)
-                a0 = v[:, 0, :].copy()
-                a1 = v[:, 1, :]
                 inv = 1.0 / np.sqrt(2.0)
-                v[:, 0, :] = (a0 + a1) * inv
-                v[:, 1, :] = (a0 - a1) * inv
-        elif g.kind == "S":
-            q = g.qubits[0]
-            if self.exact:
-                xr, xi, yr, yi = self._pairs(q)
-                xr1 = xr[:, 1, :].copy()
-                xr[:, 1, :] = -xi[:, 1, :]
-                xi[:, 1, :] = xr1
-                yr1 = yr[:, 1, :].copy()
-                yr[:, 1, :] = -yi[:, 1, :]
-                yi[:, 1, :] = yr1
-            else:
-                (v,) = self._pairs(q)
-                v[:, 1, :] *= 1j
-        elif g.kind == "T":
-            c1, c2, t = g.qubits
-            idx = np.arange(1 << self.n)
-            b1 = (idx >> (self.n - 1 - c1)) & 1
-            b2 = (idx >> (self.n - 1 - c2)) & 1
-            bt = (idx >> (self.n - 1 - t)) & 1
-            src = idx[(b1 & b2 & (bt ^ 1)).astype(bool)]
-            dst = src | (1 << (self.n - 1 - t))
-            if self.exact:
-                for p in self.planes:
-                    tmp = p[src].copy()
-                    p[src] = p[dst]
-                    p[dst] = tmp
-            else:
-                tmp = self.vec[src].copy()
-                self.vec[src] = self.vec[dst]
-                self.vec[dst] = tmp
+                zero[...] = s * inv
+                one[...] = d * inv
         else:  # pragma: no cover - Gate validates kinds
             raise ValueError(f"unknown gate kind {g.kind!r}")
 
@@ -421,11 +453,7 @@ class StateVector:
 
     def amplitude(self, i: int):
         if self.exact:
-            return ExactScalar(
-                int(self.planes[0][i]), int(self.planes[1][i]),
-                int(self.planes[2][i]), int(self.planes[3][i]),
-                self.exponent,
-            )
+            return ExactScalar(*(int(v) for v in self.planes[:, i]), self.exponent)
         return complex(self.vec[i])
 
     def amplitudes(self) -> list:
@@ -436,57 +464,71 @@ class StateVector:
             return self.copy()
         scale = 0.5 ** self.exponent
         r2 = np.sqrt(2.0)
-        xr, xi, yr, yi = (p.astype(np.float64) for p in self.planes)
+        xr, xi, yr, yi = self.planes.astype(np.float64)
         vec = ((xr + r2 * yr) + 1j * (xi + r2 * yi)) * scale
         return StateVector(self.n, False, vec=vec.astype(np.complex128), skip_cap_check=True)
 
+    def norms_sq(self) -> list:
+        """Squared norm of every column: ExactScalars in exact mode, floats otherwise."""
+        if not self.exact:
+            v = self._view(1 << self.n)
+            return [float(x) for x in (v.real ** 2 + v.imag ** 2).sum(axis=0)]
+        (planes,) = fit_int64(1 << self.n, self._view(1 << self.n))
+        xr, xi, yr, yi = planes
+        rational = (xr * xr + xi * xi + 2 * (yr * yr + yi * yi)).sum(axis=0)
+        root2 = 2 * (xr * yr + xi * yi).sum(axis=0)
+        e = 2 * self.exponent
+        return [ExactScalar(int(r), 0, int(s), 0, e) for r, s in zip(rational, root2)]
+
     def norm_sq(self):
         if self.exact:
-            xr, xi, yr, yi = self.planes
-            rational = sum(int(a) * int(a) for a in xr) + sum(int(a) * int(a) for a in xi)
-            rational += 2 * (sum(int(a) * int(a) for a in yr) + sum(int(a) * int(a) for a in yi))
-            root2 = 2 * (
-                sum(int(a) * int(b) for a, b in zip(xr, yr))
-                + sum(int(a) * int(b) for a, b in zip(xi, yi))
-            )
-            return ExactScalar(rational, 0, root2, 0, 2 * self.exponent)
+            return self.norms_sq()[0]
         return float(np.vdot(self.vec, self.vec).real)
 
     def inner(self, other: StateVector):
-        """<self|other>; modes must match."""
+        """<self|other> of two single states; modes must match."""
         if self.exact != other.exact or self.n != other.n:
             raise ValueError("inner product needs matching mode and width")
         if not self.exact:
             return complex(np.vdot(self.vec, other.vec))
-        axr, axi, ayr, ayi = self.planes
-        bxr, bxi, byr, byi = other.planes
-        xr = xi = yr = yi = 0
-        for i in range(1 << self.n):
-            ar, ai = int(axr[i]), -int(axi[i])
-            cr, ci = int(ayr[i]), -int(ayi[i])
-            br, bi = int(bxr[i]), int(bxi[i])
-            dr, di = int(byr[i]), int(byi[i])
-            xr += ar * br - ai * bi + 2 * (cr * dr - ci * di)
-            xi += ar * bi + ai * br + 2 * (cr * di + ci * dr)
-            yr += ar * dr - ai * di + cr * br - ci * bi
-            yi += ar * di + ai * dr + cr * bi + ci * br
-        return ExactScalar(xr, xi, yr, yi, self.exponent + other.exponent)
+        g = plane_matmul(plane_adjoint(self._view(1 << self.n)), other._view(1 << other.n))
+        return ExactScalar(*(int(v) for v in g[:, 0, 0]), self.exponent + other.exponent)
+
+    def gram(self) -> list[list[ExactScalar]]:
+        """Exact Gram matrix of a block's columns: entry [i][j] is <col_i|col_j>."""
+        v = self._view(1 << self.n)
+        return scalars_from_planes(plane_matmul(plane_adjoint(v), v), 2 * self.exponent)
 
     def project(self, mask: np.ndarray) -> StateVector:
-        """Zero out amplitudes where mask is False (unnormalized)."""
+        """Zero out amplitudes where mask is False (unnormalized), in every column."""
         out = self.copy()
-        if self.exact:
-            for p in out.planes:
-                p[~mask] = 0
-        else:
-            out.vec[~mask] = 0.0
+        out._view(1 << self.n)[..., ~mask, :] = 0
         return out
+
+    def split(self, mask: np.ndarray) -> StateVector:
+        """Both branches of the measurement {mask, ~mask} on every column.
+
+        Column 2b of the result is column b projected on mask (outcome 1),
+        column 2b+1 its projection on the complement (outcome 0); unnormalized.
+        """
+        cols = self._view(1 << self.n)[..., None]
+        keep = mask[:, None, None]
+        both = np.concatenate([np.where(keep, cols, 0), np.where(keep, 0, cols)], axis=-1)
+        return self._like(both.reshape(both.shape[:-2] + (-1,)))
+
+    def live_columns(self) -> np.ndarray:
+        """Boolean mask of the columns with a nonzero amplitude."""
+        v = self._view(1 << self.n)
+        return (v != 0).reshape(-1, v.shape[-1]).any(axis=0)
 
 
 def apply_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:
+    """A new state: `gates` applied to every column of `state`."""
     out = state.copy()
     for g in gates:
         out.apply_gate(g)
+    if out.exact:
+        out._normalize()
     return out
 
 
@@ -525,18 +567,10 @@ def to_unitary(c: Circuit) -> np.ndarray:
     """Dense complex matrix of the circuit (small widths only)."""
     if c.width > _UNITARY_WIDTH_CAP:
         raise WidthCapError(f"to_unitary capped at width {_UNITARY_WIDTH_CAP}, got {c.width}")
-    dim = 1 << c.width
-    cols = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        state = StateVector.basis(c.width, j, exact=False)
-        cols[:, j] = apply_circuit(state, c).vec
-    return cols
+    return apply_circuit(StateVector.columns(c.width, range(1 << c.width)), c).vec
 
 
 def to_exact_columns(c: Circuit) -> list[list[ExactScalar]]:
     """Columns of the circuit's matrix as ExactScalar lists."""
-    out = []
-    for j in range(1 << c.width):
-        state = StateVector.basis(c.width, j, exact=True)
-        out.append(apply_circuit(state, c).amplitudes())
-    return out
+    block = apply_circuit(StateVector.columns(c.width, range(1 << c.width), exact=True), c)
+    return scalars_from_planes(block.planes.transpose(0, 2, 1), block.exponent)

@@ -4,6 +4,10 @@ Every amplitude reachable from the gate entries {0, 1, i, +-1/sqrt(2)} lies in
 the ring of numbers (x + y*sqrt(2)) / 2**e with Gaussian integers x, y and
 e >= 0.  ExactScalar implements that ring with a canonical representative per
 value, so equality is structural and serialization round-trips bit-exactly.
+
+Matrices over the ring are stored as integer planes: an array of shape
+(4, rows, cols) holding Re x, Im x, Re y and Im y of every entry
+(x + y*sqrt(2)) / 2**e, with one exponent e shared by the whole matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
+
+import numpy as np
 
 _TOKEN_RE = re.compile(
     r"^\((-?\d+),(-?\d+);(-?\d+),(-?\d+)\)/2\^(\d+)$"
@@ -19,6 +25,7 @@ _TOKEN_RE = re.compile(
 
 APPROX_MAX_BITS = 50
 _GUARD_BITS = 64
+_INT64_BITS = 63
 
 
 def _gmul(ar: int, ai: int, br: int, bi: int) -> tuple[int, int]:
@@ -196,3 +203,60 @@ I_UNIT = ExactScalar.from_gaussian(0, 1)
 SQRT2 = ExactScalar(0, 0, 1, 0, 0)
 INV_SQRT2 = ExactScalar(0, 0, 1, 0, 1)
 HALF = ExactScalar(1, 0, 0, 0, 1)
+
+
+# --- matrices as integer planes ---
+
+
+def fit_int64(terms: int, *planes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The plane arrays, as int64 if sums of `terms` entry products fit, else as object.
+
+    With every |entry| < 2**bits, each entry of a product or squared norm
+    sums `terms` products weighted by at most 6, so it stays below
+    2**(2*bits + ceil(log2 terms) + 3).
+    """
+    if all(p.dtype == np.int64 for p in planes):
+        bits = max(int(np.abs(p).max(initial=0)).bit_length() for p in planes)
+        if 2 * bits + (terms - 1).bit_length() + 3 <= _INT64_BITS:
+            return planes
+    return tuple(p.astype(object) for p in planes)
+
+
+def plane_adjoint(a: np.ndarray) -> np.ndarray:
+    """Planes of the conjugate transpose."""
+    return np.stack([a[0].T, -a[1].T, a[2].T, -a[3].T])
+
+
+def plane_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Planes of A @ B (exponents add): sixteen integer matrix products."""
+    a, b = fit_int64(a.shape[-1], a, b)
+    axr, axi, ayr, ayi = a
+    bxr, bxi, byr, byi = b
+    # (xa + ya r)(xb + yb r) = (xa xb + 2 ya yb) + (xa yb + ya xb) r,  r = sqrt(2)
+    return np.stack([
+        axr @ bxr - axi @ bxi + 2 * (ayr @ byr - ayi @ byi),
+        axr @ bxi + axi @ bxr + 2 * (ayr @ byi + ayi @ byr),
+        axr @ byr - axi @ byi + ayr @ bxr - ayi @ bxi,
+        axr @ byi + axi @ byr + ayr @ bxi + ayi @ bxr,
+    ])
+
+
+def planes_from_scalars(rows: Sequence[Sequence[ExactScalar]]) -> tuple[np.ndarray, int]:
+    """Object-dtype planes of a matrix of scalars and their shared exponent."""
+    comps = [[a.components for a in row] for row in rows]
+    e = max(c[4] for row in comps for c in row)
+    planes = np.empty((4, len(comps), len(comps[0])), dtype=object)
+    for i, row in enumerate(comps):
+        for j, (xr, xi, yr, yi, ea) in enumerate(row):
+            shift = e - ea
+            planes[:, i, j] = (xr << shift, xi << shift, yr << shift, yi << shift)
+    return planes, e
+
+
+def scalars_from_planes(planes: np.ndarray, e: int) -> list[list[ExactScalar]]:
+    """The matrix of canonical scalars that (4, rows, cols) planes at exponent e hold."""
+    xr, xi, yr, yi = (p.tolist() for p in planes)
+    return [
+        [ExactScalar(*entry, e) for entry in zip(*row)]
+        for row in zip(xr, xi, yr, yi)
+    ]

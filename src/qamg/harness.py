@@ -4,8 +4,8 @@ Instances and reports are JSON with sorted keys; exact thresholds travel as
 rational strings like "3/4".  Every seeded path draws from a 64-bit
 counter-based generator keyed by the seed, so identical configs produce
 byte-identical reports apart from the wall-clock field.  File writes go
-through a temp-then-rename step so concurrent batch runs never expose a
-partial file.
+through a temp-then-rename step so a concurrent reader never sees a partial
+file.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -466,6 +465,7 @@ def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, d
     if config.copies is not None:
         amplified = amplify_by_copies(inst, config.copies)
         acc = float(amplified.acceptance_probability(top))
+        checks["acceptance_is_probability"] = 0.0 <= acc <= 1.0
         values.update(
             {
                 "copies": amplified.copies,
@@ -478,6 +478,7 @@ def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, d
         n_events = config.reps if config.reps is not None else 8 * inst.gap_q**2
         analytic = float(analytic_acceptance([(top, 1)], n_events, inst.a, inst.b))
         values.update({"n_events": n_events, "message_qubits": inst.m, "analytic": analytic})
+        checks["analytic_is_probability"] = 0.0 <= analytic <= 1.0
         if config.mode == "enumerate":
             dist = run_alternating_measurements(inst, witness, n_events, mode="enumerate")
             acc = float(dist.acceptance_probability())
@@ -616,12 +617,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report
 
 
-def run_batch(configs: Sequence[ExperimentConfig], max_workers: Optional[int] = None) -> list[dict]:
-    """Run several experiments concurrently; reports come back in input order."""
-    if not configs:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, len(configs))) as pool:
-        return list(pool.map(run_experiment, configs))
+def run_batch(configs: Sequence[ExperimentConfig]) -> list[dict]:
+    """Run several experiments one after another; reports come back in input order."""
+    return [run_experiment(config) for config in configs]
 
 
 def emit_tables(reports: Sequence[dict]) -> str:

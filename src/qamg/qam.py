@@ -243,14 +243,14 @@ def repeated_game_operator(inst: QamInstance, y_tuple: Sequence[str]) -> np.ndar
     big = circuit(width, gates)
 
     msg_dim = 1 << (n * inst.m)
-    cols = np.empty((1 << width, msg_dim), dtype=np.complex128)
+    indices = []
     for joint in range(msg_dim):
         index = 0
         for i in range(n):
             j_i = (joint >> (inst.m * (n - 1 - i))) & ((1 << inst.m) - 1)
             index |= (j_i << inst.k) << (block * (n - 1 - i))
-        state = StateVector.basis(width, index)
-        cols[:, joint] = apply_circuit(state, big).vec
+        indices.append(index)
+    cols = apply_circuit(StateVector.columns(width, indices), big).vec
 
     idx = np.arange(1 << width)
     out_bits = [(idx >> (width - 1 - i * block)) & 1 for i in range(n)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -167,16 +168,30 @@ class QmamInstance:
         # enough private qubits to purify the (work, message) pair
         return self.m1 + self.m2
 
+    @cached_property
+    def u1(self) -> np.ndarray:
+        """The verifier's first transformation, expanded once; read-only."""
+        u = to_unitary(self.base.v1)
+        u.flags.writeable = False
+        return u
+
+    @cached_property
+    def u2(self) -> np.ndarray:
+        """The verifier's second transformation, expanded once; read-only."""
+        u = to_unitary(self.base.v2)
+        u.flags.writeable = False
+        return u
+
     def lambda_tails(self) -> np.ndarray:
         """Test operator for tails: undo the first transformation, check zeros."""
-        u1 = to_unitary(self.base.v1)
+        u1 = self.u1
         idx = np.arange(u1.shape[0])
         delta = (idx >> self.base.m == 0).astype(np.complex128)
         return (u1 * delta) @ u1.conj().T
 
     def lambda_heads(self) -> np.ndarray:
         """Test operator for heads: finish the verification, check the output."""
-        u2 = to_unitary(self.base.v2)
+        u2 = self.u2
         n = self.base.k + self.base.m
         idx = np.arange(u2.shape[0])
         pi = ((idx >> (n - 1)) & 1 == 1).astype(np.complex128)
@@ -398,7 +413,7 @@ def translate_honest(
         raise ValueError("base prover arities do not match the game")
     start = np.zeros(1 << (k + m + l), dtype=np.complex128)
     start.reshape(1 << k, du)[0, :] = psi_base
-    prepared = _apply_first(start, to_unitary(inst.base.v1), 1 << (k + m))
+    prepared = _apply_first(start, inst.u1, 1 << (k + m))
     return MerlinStrategy(
         psi=prepared,
         u_by_coin={"0": np.eye(du, dtype=np.complex128), "1": u},

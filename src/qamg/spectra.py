@@ -87,17 +87,19 @@ def _message_basis_index(j: int, m: int, k: int, layout: str) -> int:
     raise ValueError(f"unknown layout {layout!r}")
 
 
-def _gram_operator(verifier: Circuit, m: int, k: int, layout: str, outcome: int) -> np.ndarray:
+def _message_columns(
+    verifier: Circuit, m: int, k: int, layout: str, outcome: int, exact: bool
+) -> StateVector:
+    """The verifier applied to every message basis state as one block, projected on the outcome."""
     _check_arities(verifier, m, k)
-    dim = 1 << m
+    indices = [_message_basis_index(j, m, k, layout) for j in range(1 << m)]
+    block = apply_circuit(StateVector.columns(verifier.width, indices, exact), verifier)
     mask = output_qubit_projector(0).outcome_one_mask(verifier.width)
-    if outcome == 0:
-        mask = ~mask
-    cols = np.empty((1 << verifier.width, dim), dtype=np.complex128)
-    for j in range(dim):
-        st = StateVector.basis(verifier.width, _message_basis_index(j, m, k, layout))
-        cols[:, j] = apply_circuit(st, verifier).vec
-    cols[~mask, :] = 0.0
+    return block.project(mask if outcome == 1 else ~mask)
+
+
+def _gram_operator(verifier: Circuit, m: int, k: int, layout: str, outcome: int) -> np.ndarray:
+    cols = _message_columns(verifier, m, k, layout, outcome, exact=False).vec
     q = cols.conj().T @ cols
     return 0.5 * (q + q.conj().T)
 
@@ -105,16 +107,7 @@ def _gram_operator(verifier: Circuit, m: int, k: int, layout: str, outcome: int)
 def _gram_operator_exact(
     verifier: Circuit, m: int, k: int, layout: str, outcome: int
 ) -> list[list[ExactScalar]]:
-    _check_arities(verifier, m, k)
-    dim = 1 << m
-    mask = output_qubit_projector(0).outcome_one_mask(verifier.width)
-    if outcome == 0:
-        mask = ~mask
-    cols = []
-    for j in range(dim):
-        st = StateVector.basis(verifier.width, _message_basis_index(j, m, k, layout), exact=True)
-        cols.append(apply_circuit(st, verifier).project(mask))
-    return [[cols[i].inner(cols[j]) for j in range(dim)] for i in range(dim)]
+    return _message_columns(verifier, m, k, layout, outcome, exact=True).gram()
 
 
 def acceptance_operator(

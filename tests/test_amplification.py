@@ -15,13 +15,17 @@ import pytest
 
 from qamg.circuits import (
     StateVector,
+    apply_circuit,
     circuit,
     cnot_gates,
+    dagger,
     hadamard,
     ishift,
+    output_qubit_projector,
     swap_gates,
     to_unitary,
     toffoli,
+    workspace_zero_projector,
     x_gates,
 )
 from qamg.amplification import (
@@ -40,7 +44,33 @@ from qamg.amplification import (
     threshold_count,
     transition_frame,
 )
+from qamg.exact import INV_SQRT2, ONE, ZERO
+from qamg.harness import generate_instance
 from qamg.spectra import eig_hermitian
+
+
+def _one_branch_enumerate(inst: QmaInstance, witness: list, n_events: int) -> dict:
+    """Exact trajectory tree simulated one branch at a time, each branch its own state."""
+    n = inst.verifier.width
+    amps = [ZERO] * (1 << n)
+    for j, a in enumerate(witness):
+        amps[j << inst.k] = a
+    masks = (
+        workspace_zero_projector(inst.k).outcome_one_mask(n),
+        output_qubit_projector(0).outcome_one_mask(n),
+    )
+    branches = [((), 1, StateVector.from_amplitudes(amps, exact=True))]
+    for i in range(1, n_events + 1):
+        circ = inst.verifier if i % 2 else dagger(inst.verifier)
+        nxt = []
+        for z, y_prev, state in branches:
+            moved = apply_circuit(state, circ)
+            for outcome, keep in ((1, masks[i % 2]), (0, ~masks[i % 2])):
+                branch = moved.project(keep)
+                if any(branch.amplitudes()):
+                    nxt.append((z + (int(outcome == y_prev),), outcome, branch))
+        branches = nxt
+    return {z: state.norm_sq().to_fraction() for z, _, state in branches}
 
 
 def _identity_instance(a=Fraction(3, 4), b=Fraction(1, 4)) -> QmaInstance:
@@ -172,6 +202,15 @@ class TestRunAlternatingMeasurements:
             for z, p in oracle.items():
                 assert abs(dist.probs.get(z, 0.0) - p) <= 1e-12
             assert abs(dist.total() - 1.0) <= 1e-12
+
+    def test_blocks_match_one_branch_reference(self):
+        for target, amps in (("5/8", [ONE, ZERO]), ("11/16", [INV_SQRT2, INV_SQRT2])):
+            inst = generate_instance("qma-p", 0, target=target, m=1, k=3)
+            witness = StateVector.from_amplitudes(amps, exact=True)
+            dist = run_alternating_measurements(inst, witness, 8)
+            want = _one_branch_enumerate(inst, amps, 8)
+            assert len(want) == 256
+            assert list(dist.probs.items()) == list(want.items())
 
     def test_matches_sequence_probability_formula(self):
         inst = _half_instance()

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qamg.circuits import (
     Circuit,
@@ -31,7 +33,8 @@ from qamg.circuits import (
     workspace_zero_projector,
     x_gates,
 )
-from qamg.exact import HALF, I_UNIT, ONE, ZERO, ExactScalar
+from qamg.exact import HALF, I_UNIT, INV_SQRT2, ONE, ZERO, ExactScalar
+from qamg.spectra import acceptance_operator_exact
 
 INV_SQRT2_F = 1.0 / np.sqrt(2.0)
 
@@ -267,3 +270,83 @@ def test_circuit_width_mismatch_errors():
     c = circuit(2, [hadamard(0)])
     with pytest.raises(ValueError):
         apply_circuit(StateVector.basis(3, 0), c)
+
+
+# --- the block kernel against a one-column, per-gate reference ---
+
+
+def _reference_column(c: Circuit, index: int, exact: bool) -> list:
+    """Column `index` of the circuit, one gate at a time on a plain amplitude list."""
+    n = c.width
+    one, zero, h, i_unit = (ONE, ZERO, INV_SQRT2, I_UNIT) if exact else (1 + 0j, 0j, INV_SQRT2_F, 1j)
+    amps = [zero] * (1 << n)
+    amps[index] = one
+    for g in c.gates:
+        bits = [1 << (n - 1 - q) for q in g.qubits]
+        for i in range(1 << n):
+            if g.kind == "H" and not i & bits[0]:
+                a0, a1 = amps[i], amps[i | bits[0]]
+                amps[i], amps[i | bits[0]] = (a0 + a1) * h, (a0 - a1) * h
+            elif g.kind == "S" and i & bits[0]:
+                amps[i] = amps[i] * i_unit
+            elif g.kind == "T" and i & bits[0] and i & bits[1] and not i & bits[2]:
+                amps[i], amps[i | bits[2]] = amps[i | bits[2]], amps[i]
+    return amps
+
+
+@st.composite
+def _circuit_and_columns(draw):
+    width = draw(st.integers(1, 8))
+    qubit = st.integers(0, width - 1)
+    gate = [st.builds(hadamard, qubit), st.builds(ishift, qubit)]
+    if width >= 3:
+        gate.append(st.permutations(range(width)).map(lambda p: toffoli(*p[:3])))
+    gates = draw(st.lists(st.one_of(gate), max_size=30))
+    cols = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4))
+    return circuit(width, gates), cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(_circuit_and_columns())
+def test_block_kernel_matches_one_column_reference(case):
+    c, cols = case
+    exact = apply_circuit(StateVector.columns(c.width, cols, exact=True), c)
+    flt = apply_circuit(StateVector.columns(c.width, cols), c)
+    for j, index in enumerate(cols):
+        want = _reference_column(c, index, exact=True)
+        assert exact.column(j).amplitudes() == want
+        assert np.array_equal(flt.vec[:, j], _reference_column(c, index, exact=False))
+    single = apply_circuit(StateVector.basis(c.width, cols[0], exact=True), c)
+    assert single.amplitudes() == _reference_column(c, cols[0], exact=True)
+    assert np.abs(exact.to_float().vec - flt.vec).max() <= 1e-12
+
+
+def test_power_of_two_strip_keeps_every_amplitude():
+    rng = random.Random(43)
+    stripped = 0
+    for _ in range(20):
+        width = rng.randint(1, 5)
+        st_ = StateVector.basis(width, rng.randrange(1 << width), exact=True)
+        for g in _random_circuit(rng, width, 40).gates:
+            st_.apply_gate(g)  # gate by gate: nothing is divided out
+        out = apply_circuit(st_, circuit(width))  # a circuit application strips
+        assert out.amplitudes() == st_.amplitudes()
+        assert 0 <= out.exponent <= st_.exponent
+        stripped += out.exponent < st_.exponent
+    assert stripped > 0
+
+
+def test_object_dtype_gram_matches_scalar_reference():
+    # 64 Hadamards between Toffolis grow the plane entries past 30 bits, so the
+    # Gram guard 2*bits + n + 3 <= 63 fails and the products run on Python ints
+    c = circuit(3, [toffoli(1, 2, 0), hadamard(2), toffoli(0, 2, 1), hadamard(2)] * 32)
+    mask = output_qubit_projector(0).outcome_one_mask(3)
+    block = apply_circuit(StateVector.columns(3, [0, 4], exact=True), c).project(mask)
+    bits = max(abs(int(v)) for v in block.planes.ravel()).bit_length()
+    assert 2 * bits + 3 + 3 > 63
+    cols = [_reference_column(c, index, exact=True) for index in (0, 4)]
+    want = [
+        [sum((a.conj() * b for a, b, keep in zip(ci, cj, mask) if keep), ZERO) for cj in cols]
+        for ci in cols
+    ]
+    assert acceptance_operator_exact(c, 1, 2) == want

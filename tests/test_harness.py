@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import qamg.harness as harness
 from qamg.amplification import counting_certificate
 from qamg.circuits import WidthCapError
 from qamg.cli import main
@@ -268,6 +269,7 @@ class TestRunExperiment:
         assert report["table_row"]["N_or_t"] == 3
         assert report["table_row"]["message_qubits"] == 3
         assert report["values"]["acceptance"] >= report["values"]["top_eigenvalue"] - 1e-12
+        assert report["checks"] == {"acceptance_is_probability": True}
 
     def test_qma_exact_certificate(self, tmp_path):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
@@ -279,6 +281,17 @@ class TestRunExperiment:
         cert = counting_certificate(inst)
         assert report["values"]["certificate"] == {"h": cert.h, "g": cert.g}
         assert report["checks"]["certificate_matches_trace"]
+
+    def test_qma_analytic_report_checks_its_value(self, tmp_path, monkeypatch):
+        path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
+        config = ExperimentConfig(protocol="qma", instance=path, mode="analytic", reps=4)
+        report = run_experiment(config)
+        assert report["checks"] == {"analytic_is_probability": True}
+        assert report["passed"]
+        monkeypatch.setattr(harness, "analytic_acceptance", lambda *args: Fraction(3, 2))
+        report = run_experiment(config)
+        assert report["checks"] == {"analytic_is_probability": False}
+        assert not report["passed"]
 
     def test_qam_analytic_repetition(self, tmp_path):
         path = _saved(tmp_path, "qam-bounded", name="qam.json", s=2, m=1, k=3, error="1/10")
