@@ -72,7 +72,7 @@ print("acceptance enumerated = %.15f, closed form = %.15f"
 assert abs(float(dist.acceptance_probability()) - float(closed)) < 1e-12
 
 # One seeded sampled trajectory from the same procedure.
-z, accepted = run_alternating_measurements(inst, witness, n_small, mode="sample", seed=11)
+(z,), (accepted,) = run_alternating_measurements(inst, witness, n_small, mode="sample", seed=11)
 print("sampled agreement pattern z = %s -> %s"
       % ("".join(map(str, z)), "accept" if accepted else "reject"))
 

@@ -23,7 +23,6 @@ from .circuits import (
     StateVector,
     apply_circuit,
     dagger,
-    measure_projector,
     output_qubit_projector,
     to_unitary,
     workspace_zero_projector,
@@ -144,6 +143,7 @@ def run_alternating_measurements(
     n_events: int,
     mode: str = "enumerate",
     seed: int = 0,
+    draws: int = 1,
 ):
     """Alternating forward/backward measurement procedure.
 
@@ -153,8 +153,10 @@ def run_alternating_measurements(
     z_i = [y_i = y_{i-1}]; acceptance is sum(z) >= N(a+b)/2, compared exactly.
 
     enumerate mode returns the full TrajectoryDistribution (both branches of
-    every measurement, zero branches pruned); sample mode draws one seeded
-    trajectory and returns (z_sequence, accepted).
+    every measurement, zero branches pruned).  sample mode plays `draws`
+    seeded trajectories in float, trajectory i drawing from Philox(key=seed+i),
+    and returns (z, accepted): a (draws, n_events) int8 array of agreement
+    patterns and a length-draws bool array.
     """
     if n_events < 1:
         raise ValueError("need at least one measurement event")
@@ -166,18 +168,29 @@ def run_alternating_measurements(
     delta_mask = workspace_zero_projector(inst.k).outcome_one_mask(inst.verifier.width)
 
     if mode == "sample":
-        state = _embed_witness(witness if not witness.exact else witness.to_float(), inst.m, inst.k)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        y_prev, z = 1, []
+        if draws < 1:
+            raise ValueError(f"sample mode needs at least one draw, got {draws}")
+        start = _embed_witness(witness.to_float() if witness.exact else witness, inst.m, inst.k)
+        # every trajectory is one column of `state`, row b of z its agreement pattern
+        state = StateVector(start.n, False, vec=np.repeat(start.vec[:, None], draws, axis=1))
+        rngs = [np.random.Generator(np.random.Philox(key=seed + b)) for b in range(draws)]
+        z = np.empty((draws, n_events), dtype=np.int8)
+        y_prev = np.ones(draws, dtype=bool)
         for i in range(1, n_events + 1):
-            state = apply_circuit(state, forward if i % 2 == 1 else backward)
-            spec = output_qubit_projector(0) if i % 2 == 1 else workspace_zero_projector(inst.k)
-            prob_one, post0, post1 = measure_projector(state, spec)
-            y = 1 if rng.random() < prob_one else 0
-            state = post1 if y == 1 else post0
-            z.append(1 if y == y_prev else 0)
+            odd = i % 2 == 1
+            mask = pi_mask if odd else delta_mask
+            state = apply_circuit(state, forward if odd else backward)
+            v = state.vec
+            weights = v.real ** 2 + v.imag ** 2
+            prob_one = weights[mask].sum(axis=0)
+            # one double per trajectory per event: the stream of Generator.random(n_events)
+            y = np.fromiter((rng.random() for rng in rngs), np.float64, draws) < prob_one
+            prob = np.where(y, prob_one, weights[~mask].sum(axis=0))
+            v[mask[:, None] != y] = 0
+            v /= np.sqrt(prob)
+            z[:, i - 1] = y == y_prev
             y_prev = y
-        return tuple(z), Fraction(sum(z)) >= threshold
+        return z, z.sum(axis=1) >= threshold_count(n_events, inst.a, inst.b)
 
     if mode != "enumerate":
         raise ValueError(f"unknown mode {mode!r}")

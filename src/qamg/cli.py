@@ -1,7 +1,7 @@
 """Command-line front end: generate instances, run experiments, emit tables.
 
 Exit codes: 0 success, 1 experiment checks failed, 2 usage error,
-3 I/O error, 4 schema error, 5 width-cap violation.
+3 I/O error, 4 schema error, 5 width or work cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .harness import (
     ExperimentConfig,
     GENERATOR_KINDS,
     SchemaError,
+    WorkCapError,
     emit_tables,
     generate_instance,
     run_experiment,
@@ -153,6 +154,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_table(args)
     except WidthCapError as exc:
         print(f"width cap: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except WorkCapError as exc:
+        print(f"work cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .amplification import (
+    ENUMERATE_EVENT_CAP,
     QmaInstance,
     amplify_by_copies,
     analytic_acceptance,
@@ -65,15 +66,24 @@ GENERATOR_KINDS = (
 
 VALID_MODES = {
     "qma": ("enumerate", "sample", "analytic"),
-    "qam": ("enumerate", "sample", "analytic"),
+    "qam": ("enumerate", "analytic"),
     "qmam": ("sample", "analytic"),
 }
 
 TABLE_COLUMNS = ("N_or_t", "message_qubits", "error")
 
+# Work caps: measurement events of a qma run by mode, and log2 of the coin
+# tuples a qam analytic run scans.
+QMA_EVENT_CAPS = {"enumerate": ENUMERATE_EVENT_CAP, "sample": 4096, "analytic": 1 << 20}
+QAM_TUPLE_CAP_BITS = 12
+
 
 class SchemaError(ValueError):
     """Instance or report JSON does not match the expected shape."""
+
+
+class WorkCapError(ValueError):
+    """A run would do more work than its mode's cap allows."""
 
 
 Instance = Union[QmaInstance, QamInstance, QipInstance]
@@ -458,6 +468,10 @@ def _top_witness(inst: QmaInstance) -> tuple[float, StateVector]:
 
 
 def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, dict, dict]:
+    n_events = config.reps if config.reps is not None else 8 * inst.gap_q**2
+    cap = QMA_EVENT_CAPS.get(config.mode)
+    if config.copies is None and cap is not None and n_events > cap:
+        raise WorkCapError(f"{config.mode} mode capped at {cap} events, got {n_events}")
     top, witness = _top_witness(inst)
     values: dict = {"top_eigenvalue": top, "gap_q": inst.gap_q}
     residuals: dict = {}
@@ -475,7 +489,6 @@ def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, d
         )
         row = {"N_or_t": amplified.copies, "message_qubits": amplified.message_width}
     else:
-        n_events = config.reps if config.reps is not None else 8 * inst.gap_q**2
         analytic = float(analytic_acceptance([(top, 1)], n_events, inst.a, inst.b))
         values.update({"n_events": n_events, "message_qubits": inst.m, "analytic": analytic})
         checks["analytic_is_probability"] = 0.0 <= analytic <= 1.0
@@ -488,13 +501,10 @@ def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, d
             checks["distribution_normalized"] = residuals["distribution_total"] < 1e-9
         elif config.mode == "sample":
             draws = 256
-            hits = 0
-            for i in range(draws):
-                _, accepted = run_alternating_measurements(
-                    inst, witness, n_events, mode="sample", seed=config.seed + i
-                )
-                hits += bool(accepted)
-            acc = hits / draws
+            _, accepted = run_alternating_measurements(
+                inst, witness, n_events, mode="sample", seed=config.seed, draws=draws
+            )
+            acc = int(accepted.sum()) / draws
             sigma = math.sqrt(max(analytic * (1 - analytic), 1e-12) / draws)
             residuals["sample_vs_analytic"] = abs(acc - analytic)
             checks["sample_within_noise"] = residuals["sample_vs_analytic"] <= 6 * sigma + 1e-9
@@ -525,6 +535,11 @@ def _run_qam(config: ExperimentConfig, inst: QamInstance) -> tuple[dict, dict, d
     checks: dict = {"complement_identity": True}
     if config.mode == "analytic":
         n = config.reps if config.reps is not None else 2
+        if inst.s * n > QAM_TUPLE_CAP_BITS:
+            raise WorkCapError(
+                f"analytic mode capped at 2^{QAM_TUPLE_CAP_BITS} coin tuples, "
+                f"got 2^({inst.s}*{n})"
+            )
         worst = 0.0
         for y_tuple in product(inst.coins(), repeat=n):
             lam, independent = parallel_repetition_value(inst, n, list(y_tuple))
@@ -534,8 +549,7 @@ def _run_qam(config: ExperimentConfig, inst: QamInstance) -> tuple[dict, dict, d
         values["repetitions"] = n
         row = {"N_or_t": n, "message_qubits": inst.m, "error": expected_error}
     else:
-        cap = None if config.mode == "enumerate" else 64 * max(1, inst.s)
-        report = markov_check(inst, "yes", seed=config.seed, sample_cap=cap)
+        report = markov_check(inst, "yes", seed=config.seed)
         values.update(
             {
                 "fraction_good": float(report.fraction_good),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -303,9 +303,7 @@ def markov_fractions(mu_values: Sequence[Rational], truth: str, tol: float = 0.0
     return MarkovReport(fraction, passes, precondition_ok, err, {}, True)
 
 
-def markov_check(
-    inst: QamInstance, truth: str, seed: int = 0, sample_cap: Optional[int] = None
-) -> MarkovReport:
+def markov_check(inst: QamInstance, truth: str, seed: int = 0) -> MarkovReport:
     """Per-coin optimum scan for the 2/3-majority property.
 
     Exhaustive over coins up to 2^12; beyond that a seeded sample of 64*s
@@ -315,8 +313,7 @@ def markov_check(
     exhaustive = inst.s <= _EXHAUSTIVE_COIN_CAP
     if not exhaustive:
         rng = np.random.Generator(np.random.Philox(key=seed))
-        count = sample_cap if sample_cap is not None else 64 * inst.s
-        picks = rng.integers(0, 1 << inst.s, size=count)
+        picks = rng.integers(0, 1 << inst.s, size=64 * inst.s)
         coins = [format(int(p), f"0{inst.s}b") for p in picks]
     mu = {}
     for y in coins:

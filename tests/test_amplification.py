@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qamg.circuits import (
     StateVector,
@@ -21,6 +23,7 @@ from qamg.circuits import (
     dagger,
     hadamard,
     ishift,
+    measure_projector,
     output_qubit_projector,
     swap_gates,
     to_unitary,
@@ -31,6 +34,7 @@ from qamg.circuits import (
 from qamg.amplification import (
     GapCertificate,
     QmaInstance,
+    _embed_witness,
     a0pp_check,
     amplified_counting_certificate,
     amplify_by_copies,
@@ -71,6 +75,45 @@ def _one_branch_enumerate(inst: QmaInstance, witness: list, n_events: int) -> di
                     nxt.append((z + (int(outcome == y_prev),), outcome, branch))
         branches = nxt
     return {z: state.norm_sq().to_fraction() for z, _, state in branches}
+
+
+def _one_trajectory_reference(
+    inst: QmaInstance, witness: StateVector, n_events: int, seed: int
+) -> tuple[tuple, bool]:
+    """One seeded float trajectory, simulated as its own single state."""
+    state = _embed_witness(witness.to_float() if witness.exact else witness, inst.m, inst.k)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    y_prev, z = 1, []
+    for i in range(1, n_events + 1):
+        state = apply_circuit(state, inst.verifier if i % 2 == 1 else dagger(inst.verifier))
+        spec = output_qubit_projector(0) if i % 2 == 1 else workspace_zero_projector(inst.k)
+        prob_one, post0, post1 = measure_projector(state, spec)
+        y = 1 if rng.random() < prob_one else 0
+        state = post1 if y == 1 else post0
+        z.append(1 if y == y_prev else 0)
+        y_prev = y
+    return tuple(z), Fraction(sum(z)) >= Fraction(n_events) * (inst.a + inst.b) / 2
+
+
+@st.composite
+def _sampling_case(draw):
+    m, k = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    inst = generate_instance("qma-random", draw(st.integers(0, 2**16)), m=m, k=k)
+    if draw(st.booleans()):
+        # exact: a basis state, or an equal superposition of two (sample mode runs in float)
+        j, j2 = draw(st.integers(0, (1 << m) - 1)), draw(st.integers(0, (1 << m) - 1))
+        amps = [ZERO] * (1 << m)
+        if j == j2:
+            amps[j] = ONE
+        else:
+            amps[j] = amps[j2] = INV_SQRT2
+        witness = StateVector.from_amplitudes(amps, exact=True)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        vec = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        witness = StateVector.from_amplitudes(vec / np.linalg.norm(vec))
+    n_events, seed = draw(st.integers(1, 12)), draw(st.integers(0, 2**20))
+    return inst, witness, n_events, seed, draw(st.integers(1, 64))
 
 
 def _identity_instance(a=Fraction(3, 4), b=Fraction(1, 4)) -> QmaInstance:
@@ -230,19 +273,37 @@ class TestRunAlternatingMeasurements:
         witness = StateVector.basis(1, 0)
         one = run_alternating_measurements(inst, witness, 6, mode="sample", seed=9)
         two = run_alternating_measurements(inst, witness, 6, mode="sample", seed=9)
-        assert one == two
+        assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
         z, accepted = one
-        assert len(z) == 6
-        assert accepted == (Fraction(sum(z)) >= Fraction(6) * (inst.a + inst.b) / 2)
+        assert z.shape == (1, 6) and accepted.shape == (1,)
+        assert accepted[0] == (Fraction(int(z[0].sum())) >= Fraction(6) * (inst.a + inst.b) / 2)
         # frequency agrees with the analytic value within 4 sigma
         analytic = analytic_acceptance([(Fraction(1, 2), 1)], 6, inst.a, inst.b)
         runs = 600
-        hits = sum(
-            run_alternating_measurements(inst, witness, 6, mode="sample", seed=s)[1]
+        hits = int(run_alternating_measurements(
+            inst, witness, 6, mode="sample", seed=0, draws=runs
+        )[1].sum())
+        singles = sum(
+            bool(run_alternating_measurements(inst, witness, 6, mode="sample", seed=s)[1][0])
             for s in range(runs)
         )
+        assert hits == singles
         sigma = math.sqrt(float(analytic) * (1 - float(analytic)) / runs)
         assert abs(hits / runs - float(analytic)) <= 4 * sigma + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sampling_case())
+    def test_block_sampler_matches_one_trajectory_reference(self, case):
+        inst, witness, n_events, seed, draws = case
+        z, accepted = run_alternating_measurements(
+            inst, witness, n_events, mode="sample", seed=seed, draws=draws
+        )
+        assert z.shape == (draws, n_events) and z.dtype == np.int8
+        assert accepted.shape == (draws,) and accepted.dtype == bool
+        for b in range(draws):
+            want_z, want_accepted = _one_trajectory_reference(inst, witness, n_events, seed + b)
+            assert tuple(z[b].tolist()) == want_z
+            assert bool(accepted[b]) == want_accepted
 
     def test_errors(self):
         inst = _identity_instance()
@@ -253,6 +314,8 @@ class TestRunAlternatingMeasurements:
             run_alternating_measurements(inst, good, 21)
         with pytest.raises(ValueError, match="mode"):
             run_alternating_measurements(inst, good, 2, mode="guess")
+        with pytest.raises(ValueError, match="draw"):
+            run_alternating_measurements(inst, good, 2, mode="sample", draws=0)
         bad = StateVector.from_amplitudes([0.5, 0.5])
         with pytest.raises(ValueError, match="normalized"):
             run_alternating_measurements(inst, bad, 2)
@@ -336,7 +399,7 @@ class TestAmplifyPreservingWitness:
         inst = _identity_instance()
         amp = amplify_preserving_witness(inst, 1)
         z, accepted = amp.run(StateVector.basis(1, 1), mode="sample", seed=0)
-        assert accepted and sum(z) == amp.n_events
+        assert accepted.all() and (z.sum(axis=1) == amp.n_events).all()
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError, match="r must"):

@@ -450,6 +450,26 @@ class TestCli:
         assert main(["gen", "--kind", "qam-bounded", "--seed", "0",
                      "--out", str(tmp_path / "x.json")]) == 5
 
+    def test_work_caps_exit_five(self, tmp_path, capsys, monkeypatch):
+        qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the cap must reject the run before any work")
+
+        # a run that got as far as the witness eigensolve would raise here
+        monkeypatch.setattr(harness, "_top_witness", no_work)
+        for mode, reps in (("sample", "100000000"), ("analytic", "100000000"),
+                           ("enumerate", "21")):
+            assert main(["run", "--instance", qma, "--mode", mode, "--reps", reps]) == 5
+        qam = _saved(tmp_path, "qam-random", name="qam.json", s=2, m=1, k=2)
+        assert main(["run", "--instance", qam, "--mode", "analytic", "--reps", "7"]) == 5
+        assert "work cap" in capsys.readouterr().err
+
+    def test_qam_has_no_sample_mode(self, tmp_path, capsys):
+        qam = _saved(tmp_path, "qam-random", **KIND_PARAMS["qam-random"])
+        assert main(["run", "--instance", qam, "--mode", "sample"]) == 2
+        assert "not valid for qam" in capsys.readouterr().err
+
     def test_table_empty_dir_gives_header(self, tmp_path):
         csv = tmp_path / "empty.csv"
         assert main(["table", "--in", str(tmp_path), "--out", str(csv)]) == 0
