@@ -17,7 +17,6 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -49,7 +48,7 @@ from .circuits import (
     width_cap,
     x_gates,
 )
-from .qam import QamInstance, coin_spectra, coin_strings, markov_check, parallel_repetition_value
+from .qam import QamInstance, coin_spectra, coin_strings, markov_check, parallel_repetition_values
 from .qmam import QipInstance, build_qmam, honest_value, optimize_cheating, soundness_bound
 from .spectra import acceptance_spectrum
 
@@ -72,10 +71,13 @@ VALID_MODES = {
 
 TABLE_COLUMNS = ("N_or_t", "message_qubits", "error")
 
-# Work caps: measurement events of a qma run by mode, and log2 of the coin
-# tuples a qam analytic run scans.
+# Work caps: measurement events of a qma run by mode, witness copies of a qma
+# run, log2 of the coin tuples a qam analytic run scans, and log2 of the
+# amplitudes a qmam sample run's see-saw batch holds (restarts * 2^(k+m+l)).
 QMA_EVENT_CAPS = {"enumerate": ENUMERATE_EVENT_CAP, "sample": 4096, "analytic": 1 << 20}
+QMA_COPIES_CAP = 1 << 20
 QAM_TUPLE_CAP_BITS = 12
+QMAM_BATCH_CAP_BITS = 22
 
 
 class SchemaError(ValueError):
@@ -191,12 +193,18 @@ def instance_from_dict(data: dict) -> Instance:
             _require(data, ["s", "m", "k", "a", "b", "circuits"])
             if not isinstance(data["circuits"], dict):
                 raise SchemaError("field 'circuits' must map coin strings to circuit text")
+            s = _arity_from_json(data, "s")
+            # compare before QamInstance lists all 2^s coin strings
+            if s < 0 or len(data["circuits"]) != 1 << min(s, 64):
+                raise SchemaError(
+                    f"field 's' = {s} needs 2^s circuits, got {len(data['circuits'])}"
+                )
             family = {
                 y: _parse_or_schema_error(text, f"circuits[{y!r}]")
                 for y, text in data["circuits"].items()
             }
             return QamInstance(
-                s=_arity_from_json(data, "s"),
+                s=s,
                 family=family,
                 m=_arity_from_json(data, "m"),
                 k=_arity_from_json(data, "k"),
@@ -446,6 +454,10 @@ class ExperimentConfig:
             )
         if self.mode == "sample" and self.seed is None:
             raise ValueError("sampling modes require a seed")
+        for name in ("reps", "copies", "restarts"):
+            count = getattr(self, name)
+            if count is not None and count < 1:
+                raise ValueError(f"{name} must be at least 1, got {count}")
 
     def echo(self) -> dict:
         return {
@@ -472,6 +484,8 @@ def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, d
     cap = QMA_EVENT_CAPS.get(config.mode)
     if config.copies is None and cap is not None and n_events > cap:
         raise WorkCapError(f"{config.mode} mode capped at {cap} events, got {n_events}")
+    if config.copies is not None and config.copies > QMA_COPIES_CAP:
+        raise WorkCapError(f"copies capped at {QMA_COPIES_CAP}, got {config.copies}")
     top, witness = _top_witness(inst)
     values: dict = {"top_eigenvalue": top, "gap_q": inst.gap_q}
     residuals: dict = {}
@@ -527,6 +541,12 @@ def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, d
 
 
 def _run_qam(config: ExperimentConfig, inst: QamInstance) -> tuple[dict, dict, dict, dict]:
+    n = config.reps if config.reps is not None else 2
+    if config.mode == "analytic" and inst.s * n > QAM_TUPLE_CAP_BITS:
+        raise WorkCapError(
+            f"analytic mode capped at 2^{QAM_TUPLE_CAP_BITS} coin tuples, "
+            f"got 2^({inst.s}*{n})"
+        )
     spectra = coin_spectra(inst)  # also enforces the exact complement identity
     mu = {y: float(spectra[y].accept[0]) for y in inst.coins()}
     expected_error = 1.0 - sum(mu.values()) / len(mu)
@@ -534,16 +554,8 @@ def _run_qam(config: ExperimentConfig, inst: QamInstance) -> tuple[dict, dict, d
     residuals: dict = {}
     checks: dict = {"complement_identity": True}
     if config.mode == "analytic":
-        n = config.reps if config.reps is not None else 2
-        if inst.s * n > QAM_TUPLE_CAP_BITS:
-            raise WorkCapError(
-                f"analytic mode capped at 2^{QAM_TUPLE_CAP_BITS} coin tuples, "
-                f"got 2^({inst.s}*{n})"
-            )
-        worst = 0.0
-        for y_tuple in product(inst.coins(), repeat=n):
-            lam, independent = parallel_repetition_value(inst, n, list(y_tuple))
-            worst = max(worst, abs(lam - independent))
+        lams, independent = parallel_repetition_values(inst, n)
+        worst = float(np.abs(lams - independent).max())
         residuals["repetition_vs_independent"] = worst
         checks["repetition_matches_independent"] = worst < 1e-9
         values["repetitions"] = n
@@ -563,6 +575,13 @@ def _run_qam(config: ExperimentConfig, inst: QamInstance) -> tuple[dict, dict, d
 
 
 def _run_qmam(config: ExperimentConfig, base: QipInstance) -> tuple[dict, dict, dict, dict]:
+    restarts = config.restarts if config.restarts is not None else 16
+    batch_bits = 2 * (base.k + base.m)  # k + m + l qubits, l = k + m
+    if config.mode == "sample" and restarts << batch_bits > 1 << QMAM_BATCH_CAP_BITS:
+        raise WorkCapError(
+            f"sample mode capped at 2^{QMAM_BATCH_CAP_BITS} see-saw amplitudes, "
+            f"got {restarts}*2^{batch_bits}"
+        )
     inst = build_qmam(base)
     honest = honest_value(inst)
     bound = soundness_bound(base)
@@ -574,7 +593,6 @@ def _run_qmam(config: ExperimentConfig, base: QipInstance) -> tuple[dict, dict, 
     residuals: dict = {}
     checks: dict = {"honest_within_unit": -1e-9 <= honest <= 1 + 1e-9}
     if config.mode == "sample":
-        restarts = config.restarts if config.restarts is not None else 16
         result = optimize_cheating(inst, restarts=restarts, seed=config.seed)
         values.update(
             {

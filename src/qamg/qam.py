@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,11 +31,10 @@ from .spectra import (
     acceptance_operator,
     eig_hermitian,
     rejection_operator,
-    top_eigenpair,
 )
 
 REPEATED_GAME_QUBIT_CAP = 12
-_DENSE_EIG_DIM_CAP = 64
+_REPETITION_BATCH_ENTRIES = 1 << 20  # matrix entries per stacked repetition eigensolve
 _EXHAUSTIVE_COIN_CAP = 12  # beyond 2^12 coins, sample
 
 
@@ -177,48 +176,55 @@ def multilinear_f(p_values: Sequence[Rational], threshold: Rational):
     return sum(c for w, c in enumerate(counts) if w >= t)
 
 
-def parallel_repetition_value(
-    inst: QamInstance, n: int, y_tuple: Sequence[str]
-) -> tuple[float, float]:
-    """Top eigenvalue of the threshold tensor sum vs independent play.
+def parallel_repetition_values(
+    inst: QamInstance, n: int, y_tuples: Optional[Sequence[Sequence[str]]] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue of the threshold tensor sum vs independent play, per coin tuple.
 
     The repeated game over announced coins y_1..y_n accepts when the per-round
     outcome count meets n(a+b)/2; its optimal value is the top eigenvalue of
-    sum over accepted patterns of the tensored outcome operators, and equals
-    the multilinear tail evaluated at the per-round top eigenvalues.
+    the sum over accepted patterns of the tensored outcome operators, and
+    equals the multilinear tail evaluated at the per-round top eigenvalues.
+    Tuples default to itertools.product(inst.coins(), repeat=n); their sums are
+    broadcast outer products, solved in stacks of _REPETITION_BATCH_ENTRIES at most.
     """
-    if len(y_tuple) != n:
-        raise ValueError(f"expected {n} coin strings, got {len(y_tuple)}")
+    if n < 1:
+        raise ValueError(f"need at least one round, got {n}")
     if n * inst.m > REPEATED_GAME_QUBIT_CAP:
-        raise ValueError(
-            f"tensor dimension 2^{n * inst.m} exceeds cap 2^{REPEATED_GAME_QUBIT_CAP}"
-        )
-    ops1 = []
-    ops0 = []
-    tops = []
-    for y in y_tuple:
-        if y not in inst.family:
-            raise KeyError(f"unknown coin string {y!r}")
-        q1, decomp = inst.coin_spectrum(y)
-        ops1.append(q1)
-        ops0.append(np.eye(1 << inst.m) - q1)
-        tops.append(float(decomp.eigenvalues[0]))
+        raise ValueError(f"tensor dimension 2^{n * inst.m} exceeds cap 2^{REPEATED_GAME_QUBIT_CAP}")
+    y_tuples = list(product(inst.coins(), repeat=n)) if y_tuples is None else y_tuples
+    if any(len(y_tuple) != n for y_tuple in y_tuples):
+        raise ValueError(f"expected {n} coin strings in every tuple")
+    used, rows = np.unique(np.array(y_tuples, dtype=object), return_inverse=True)
+    unknown = [y for y in used if y not in inst.family]
+    if unknown:
+        raise KeyError(f"unknown coin string {unknown[0]!r}")
+    spectra = [inst.coin_spectrum(y) for y in used]
+    outcome_ops = np.stack([(np.eye(1 << inst.m) - q1, q1) for q1, _ in spectra])  # [coin, z]
+    rows = rows.reshape(len(y_tuples), n)
     t0 = threshold_count(n, inst.a, inst.b)
-    dim = 1 << (n * inst.m)
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for z in product((0, 1), repeat=n):
-        if sum(z) < t0:
-            continue
-        term = np.eye(1)
-        for zi, q1, q0 in zip(z, ops1, ops0):
-            term = np.kron(term, q1 if zi else q0)
-        total += term
-    if dim <= _DENSE_EIG_DIM_CAP:
-        lam = float(eig_hermitian(total).eigenvalues[0])
-    else:
-        lam, _ = top_eigenpair(total, dim, tol=1e-13)
-    independent = float(multilinear_f(tops, t0))
-    return lam, independent
+    accepted = [z for z in product((0, 1), repeat=n) if sum(z) >= t0]
+    step = max(1, _REPETITION_BATCH_ENTRIES >> (2 * n * inst.m))
+    lams = []
+    for chunk in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
+        total = 0
+        for z in accepted:
+            term = outcome_ops[chunk[:, 0], z[0]]
+            for i in range(1, n):
+                kron = term[:, :, None, :, None] * outcome_ops[chunk[:, i], z[i]][:, None, :, None]
+                term = kron.reshape(len(chunk), kron.shape[1] * kron.shape[2], -1)
+            total = total + term
+        lams.append(eig_hermitian(total).eigenvalues[:, 0])
+    indep = [float(multilinear_f([spectra[i][1].eigenvalues[0] for i in row], t0)) for row in rows]
+    return np.concatenate(lams), np.array(indep)
+
+
+def parallel_repetition_value(
+    inst: QamInstance, n: int, y_tuple: Sequence[str]
+) -> tuple[float, float]:
+    """parallel_repetition_values for the one coin tuple y_1..y_n."""
+    lams, indep = parallel_repetition_values(inst, n, [tuple(y_tuple)])
+    return float(lams[0]), float(indep[0])
 
 
 def _shift_gates(gates: Sequence[Gate], offset: int) -> list[Gate]:
@@ -230,7 +236,7 @@ def repeated_game_operator(inst: QamInstance, y_tuple: Sequence[str]) -> np.ndar
 
     Builds one wide circuit running each round's verifier on its own block and
     sums the Gram operators of all accepted per-round output patterns; must
-    match the tensor construction of parallel_repetition_value.
+    match the tensor construction of parallel_repetition_values.
     """
     n = len(y_tuple)
     block = inst.m + inst.k

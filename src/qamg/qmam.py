@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -265,14 +265,14 @@ class OptimizationResult:
 
 
 def _polar_align(c: np.ndarray) -> np.ndarray:
-    """Unitary U maximizing Re tr(U C).
+    """Unitary U maximizing Re tr(U C), for C or each C of a (..., r, d) stack.
 
     For a wide r x d block C_r of C = Q C_r (Q with r orthonormal columns),
     returns the d x r block U Q = Z W^H of every maximizer, from the thin
     SVD C_r = W S Z^H.
     """
     v, _, wh = np.linalg.svd(c, full_matrices=False)
-    return (v @ wh).conj().T
+    return (v @ wh).conj().swapaxes(-1, -2)
 
 
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:
@@ -282,70 +282,74 @@ def _complete_unitary(cols: np.ndarray) -> np.ndarray:
     return full
 
 
-def _seesaw_cheat(
-    game: CheatGame,
-    psi0: np.ndarray,
-    u0: dict,
-    tol: float,
-    max_iters: int,
-) -> tuple[float, np.ndarray, dict, bool, int]:
-    """See-saw in the row space of the starting state.
+def _dot_norms(rows: np.ndarray) -> np.ndarray:
+    """(..., 1, 1) norms of a (..., 1, n) stack, each rounded as numpy.linalg.norm rounds it.
 
-    With psi0 reshaped to P0 (first register by the rest) and the thin QR
+    A polar step on a rank-deficient C turns one ulp into another see-saw path.
+    """
+    re, im = rows.real, rows.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+
+
+def _seesaw_cheat(
+    game: CheatGame, psi0: Sequence, u0: Sequence[Optional[dict]], tol: float, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int], MerlinStrategy]]:
+    """See-saw from each start psi0[i] (responses u0[i], None for identities) at once.
+
+    With a start reshaped to P0 (first register by the rest) and the thin QR
     P0^T = Q R, every iterate is P = A Q^T: the state step only mixes
     T_y conj(U_y) = T_y conj(V_y) Q^T, because the unitary step aligns
-    V_y = U_y Q with the rows of T_y.  So the loop carries A (2^k x r) and
-    V_y (du x r), r = min(2^k, du), and builds each full U_y once on return,
-    mapping the complement of Q's span onto the complement of V_y's.
+    V_y = U_y Q with the rows of T_y.  So each step is one stacked call on the
+    A (2^k x r) and V_y (du x r), r = min(2^k, du), of the running starts.
+    Returns values, convergence flags, iteration counts and a strategy builder.
     """
     coins = game.coins()
     weight = 1.0 / len(coins)
-    dim_first = 1 << game.k
-    dim_front = 1 << (game.k + game.m)
-    psi0 = psi0 / np.linalg.norm(psi0)
-    q_basis, r_factor = np.linalg.qr(psi0.reshape(dim_first, -1).T)
-    a_mat = r_factor.T
-    vs = {y: u0[y] @ q_basis for y in coins}
-    value = -1.0
-    converged, it = False, max_iters
+    lambdas = np.stack([game.lambdas[y] for y in coins])
+    psi0 = np.stack([psi / np.linalg.norm(psi) for psi in psi0])
+    q_basis, r_factor = np.linalg.qr(psi0.reshape(len(psi0), 1 << game.k, -1).swapaxes(1, 2))
+    a_mat = r_factor.swapaxes(1, 2)
+    vs = np.stack([[q if u is None else u[y] @ q for y in coins] for q, u in zip(q_basis, u0)])
+    values, converged = np.full(len(psi0), -1.0), np.zeros(len(psi0), dtype=bool)
+    iterations, live = np.full(len(psi0), max_iters), np.arange(len(psi0))
     for it in range(1, max_iters + 1):
+        a, v = a_mat[live], vs[live]
         # target step: project each moved state onto its accepting subspace
-        targets = {}
-        new_value = 0.0
-        for y in coins:
-            moved = (a_mat @ vs[y].T).reshape(-1)
-            projected = _apply_first(moved, game.lambdas[y], dim_front)
-            new_value += weight * float(np.real(np.vdot(moved, projected)))
-            norm = np.linalg.norm(projected)
-            targets[y] = projected.reshape(dim_first, -1) / norm if norm > 1e-150 else None
-        if new_value < value - 1e-9:
-            raise AssertionError(f"see-saw value decreased: {value} -> {new_value}")
-        if new_value <= value + tol:
-            value, converged = max(new_value, value), True
+        moved = (a[:, None] @ v.swapaxes(2, 3)).reshape(*v.shape[:2], lambdas.shape[1], -1)
+        projected = (lambdas @ moved).reshape(*v.shape[:2], 1, -1)
+        overlaps = (moved.reshape(projected.shape).conj() @ projected.swapaxes(2, 3)).real
+        new_value = sum(weight * overlaps[:, i, 0, 0] for i in range(len(coins)))
+        norms = _dot_norms(projected)
+        old = values[live]
+        if np.any(new_value < old - 1e-9):
+            raise AssertionError(f"see-saw value decreased: {old} -> {new_value}")
+        values[live] = np.maximum(new_value, old)
+        # a start stops once it gains at most tol, or when none of its targets is left
+        done = (new_value <= old + tol) | ~np.any(norms > 1e-150, axis=(1, 2, 3))
+        converged[live[done]], iterations[live[done]] = True, it
+        live, a, v, projected, norms = (x[~done] for x in (live, a, v, projected, norms))
+        if not len(live):
             break
-        value = new_value
-        # unitary step: best alignment of the state with each target
-        for y in coins:
-            if targets[y] is not None:
-                vs[y] = _polar_align(a_mat.T @ targets[y].conj())
-        # state step: top eigenvector of the rank-|coins| induced operator
-        back = [
-            (targets[y] @ vs[y].conj()).reshape(-1) for y in coins if targets[y] is not None
-        ]
-        if not back:
-            converged = True
-            break
-        b = np.stack(back, axis=1) * math.sqrt(weight)
-        gram = b.conj().T @ b
-        coeff = eig_hermitian(gram).vectors[:, 0]
-        candidate = b @ coeff
-        norm = np.linalg.norm(candidate)
-        if norm > 1e-150:
-            a_mat = candidate.reshape(a_mat.shape) / norm
-    psi = (a_mat @ q_basis.T).reshape(-1)
-    q_full = _complete_unitary(q_basis).conj().T
-    us = {y: _complete_unitary(vs[y]) @ q_full for y in coins}
-    return value, psi, us, converged, it
+        # a dead target divides to zero, keeping its response and leaving the state step
+        alive = norms > 1e-150
+        targets = (projected / np.where(alive, norms, np.inf)).reshape(*v.shape[:2], a.shape[1], -1)
+        # unitary step: best alignment of each state with each live target
+        v = vs[live] = np.where(alive, _polar_align(a.swapaxes(1, 2)[:, None] @ targets.conj()), v)
+        # state step: top eigenvector of each rank-|coins| induced operator
+        b = (targets @ v.conj()).reshape(len(live), len(coins), -1).swapaxes(1, 2)
+        b = np.ascontiguousarray(b) * math.sqrt(weight)  # row-major b rounds as one start's
+        candidate = (b @ eig_hermitian(b.conj().swapaxes(1, 2) @ b).vectors[..., :1])[..., 0]
+        norm = _dot_norms(candidate[:, None])[:, 0]
+        grown = norm[:, 0] > 1e-150
+        a_mat[live[grown]] = (candidate[grown] / norm[grown]).reshape(-1, *a.shape[1:])
+
+    def strategy(i: int) -> MerlinStrategy:
+        """Start i's full strategy; each U_y maps Q's complement onto V_y's."""
+        q_full = _complete_unitary(q_basis[i]).conj().T
+        us = {y: _complete_unitary(v) @ q_full for y, v in zip(coins, vs[i])}
+        return MerlinStrategy(psi=(a_mat[i] @ q_basis[i].T).reshape(-1), u_by_coin=us)
+
+    return values, converged, iterations, strategy
 
 
 def optimize_cheating(
@@ -361,31 +365,21 @@ def optimize_cheating(
     Accepts a one-coin instance or a prepared CheatGame.  Each restart
     alternates exact subproblem solutions (target projection, polar unitary
     alignment, small-Gram state update), so per-restart values never
-    decrease; the result reports the best restart.
+    decrease; the random restarts and the seeded strategies run as one
+    batch, and the result reports the first best restart.
     """
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
     game = cheat_game(target) if isinstance(target, QmamInstance) else target
-    coins = game.coins()
     dim = 1 << game.total_qubits
-    du = 1 << (game.m + game.l)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    chains: list[tuple[np.ndarray, dict]] = []
-    for _ in range(max(1, restarts)):
-        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        chains.append((psi0, {y: np.eye(du, dtype=np.complex128) for y in coins}))
-    if seeds:
-        for st in seeds:
-            chains.append((np.asarray(st.psi, dtype=np.complex128), dict(st.u_by_coin)))
-    best = None
-    for psi0, u0 in chains:
-        result = _seesaw_cheat(game, psi0, u0, tol, max_iters)
-        if best is None or result[0] > best[0]:
-            best = result
-    value, psi, us, converged, iters = best
+    starts = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(restarts)]
+    starts += [np.asarray(st.psi, dtype=np.complex128) for st in seeds or ()]
+    u0 = [None] * restarts + [st.u_by_coin for st in seeds or ()]
+    values, converged, iterations, strategy = _seesaw_cheat(game, starts, u0, tol, max_iters)
+    best = int(np.argmax(values))
     return OptimizationResult(
-        value=value,
-        strategy=MerlinStrategy(psi=psi, u_by_coin=us),
-        converged=converged,
-        iterations=iters,
+        float(values[best]), strategy(best), bool(converged[best]), int(iterations[best])
     )
 
 

@@ -9,7 +9,7 @@ witnesses.  Eigenproblems are solved by LAPACK through `numpy.linalg.eigh`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,59 +24,39 @@ WORK_FIRST = "work_first"
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in descending order; vectors[:, i] pairs with eigenvalues[i]."""
+    """Eigenvalues in descending order; vectors[..., :, i] pairs with eigenvalues[..., i].
+
+    Leading axes, if any, index a stack of independent decompositions.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
+        weighted = self.vectors * self.eigenvalues[..., None, :]
+        return weighted @ self.vectors.conj().swapaxes(-1, -2)
 
 
 def eig_hermitian(matrix: Union[np.ndarray, Sequence[Sequence[complex]]]) -> SpectralDecomposition:
-    """Full eigensystem of a Hermitian matrix by LAPACK (`numpy.linalg.eigh`)."""
+    """Full eigensystem of a Hermitian matrix, or of each in a (..., d, d) stack, by LAPACK.
+
+    Every matrix of a stack passes the same square, dimension-cap and
+    Hermitian checks as a single one, and all are solved in one
+    `numpy.linalg.eigh` call.
+    """
     h = np.array(matrix, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    n = h.shape[-1]
     if n > _EIG_DIM_CAP:
         raise ValueError(f"dimension {n} exceeds cap {_EIG_DIM_CAP}")
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if float(np.abs(h - h.conj().T).max(initial=0.0)) > 1e-10 * scale:
+    h_dagger = h.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(h - h_dagger).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    values, vectors = np.linalg.eigh(0.5 * (h + h_dagger))
     # eigh ascends; reverse to descending
-    return SpectralDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
-
-
-def top_eigenpair(
-    matrix_or_apply: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
-    dim: int,
-    seed: int = 0,
-    tol: float = 1e-12,
-    max_iters: int = 20000,
-) -> tuple[float, np.ndarray]:
-    """Largest eigenpair of a PSD Hermitian operator by power iteration.
-
-    Used where only the top of the spectrum is needed and dims outgrow the
-    dense path; deterministic for a fixed seed.
-    """
-    apply_op = matrix_or_apply if callable(matrix_or_apply) else (lambda v: matrix_or_apply @ v)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(max_iters):
-        w = apply_op(v)
-        value = float(np.real(np.vdot(v, w)))
-        residual = np.linalg.norm(w - value * v)
-        if residual <= tol * max(1.0, abs(value)):
-            break
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v
-        v = w / norm
-    return value, v
+    return SpectralDecomposition(values[..., ::-1].copy(), vectors[..., ::-1].copy())
 
 
 def _message_basis_index(j: int, m: int, k: int, layout: str) -> int:

@@ -440,7 +440,8 @@ class TestCli:
         wrong.write_text(json.dumps({"type": "qma"}))
         assert main(["run", "--instance", str(wrong), "--mode", "analytic"]) == 4
         data = instance_to_dict(generate_instance("qam-random", seed=0, **KIND_PARAMS["qam-random"]))
-        for field, value in (("m", 1.9), ("s", True)):
+        # a huge s must fail on the circuit count, before 2^s coin strings are listed
+        for field, value in (("m", 1.9), ("s", True), ("s", 10**30), ("s", 2), ("s", -1)):
             arity = tmp_path / f"arity-{field}.json"
             arity.write_text(json.dumps(dict(data, **{field: value})))
             assert main(["run", "--instance", str(arity), "--mode", "enumerate"]) == 4
@@ -450,20 +451,43 @@ class TestCli:
         assert main(["gen", "--kind", "qam-bounded", "--seed", "0",
                      "--out", str(tmp_path / "x.json")]) == 5
 
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run must be rejected before any work")
+
+        # a run that got as far as its first eigensolve or unitary expansion raises here
+        for name in ("_top_witness", "coin_spectra", "build_qmam"):
+            monkeypatch.setattr(harness, name, no_work)
+
     def test_work_caps_exit_five(self, tmp_path, capsys, monkeypatch):
         qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the cap must reject the run before any work")
-
-        # a run that got as far as the witness eigensolve would raise here
-        monkeypatch.setattr(harness, "_top_witness", no_work)
+        qam = _saved(tmp_path, "qam-random", name="qam.json", s=2, m=1, k=2)
+        qmam = _saved(tmp_path, "qip-no", name="qmam.json", **KIND_PARAMS["qip-no"])
+        self._forbid_work(monkeypatch)
         for mode, reps in (("sample", "100000000"), ("analytic", "100000000"),
                            ("enumerate", "21")):
             assert main(["run", "--instance", qma, "--mode", mode, "--reps", reps]) == 5
-        qam = _saved(tmp_path, "qam-random", name="qam.json", s=2, m=1, k=2)
+        assert main(["run", "--instance", qma, "--mode", "analytic",
+                     "--copies", str(harness.QMA_COPIES_CAP + 1)]) == 5
         assert main(["run", "--instance", qam, "--mode", "analytic", "--reps", "7"]) == 5
+        # k + m + l = 8 qubits, so 2^14 restarts fill the 2^22-amplitude see-saw batch
+        assert main(["run", "--instance", qmam, "--mode", "sample",
+                     "--restarts", str((1 << 14) + 1)]) == 5
         assert "work cap" in capsys.readouterr().err
+
+    def test_nonpositive_counts_exit_two(self, tmp_path, capsys, monkeypatch):
+        qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])
+        qam = _saved(tmp_path, "qam-random", name="qam.json", **KIND_PARAMS["qam-random"])
+        qmam = _saved(tmp_path, "qip-no", name="qmam.json", **KIND_PARAMS["qip-no"])
+        self._forbid_work(monkeypatch)
+        for path, option, value in ((qma, "--reps", "0"), (qma, "--reps", "-5"),
+                                    (qam, "--reps", "0"), (qma, "--copies", "0")):
+            assert main(["run", "--instance", path, "--mode", "analytic", option, value]) == 2
+        for value in ("0", "-4"):
+            assert main(["run", "--instance", qmam, "--mode", "sample",
+                         "--restarts", value]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
     def test_qam_has_no_sample_mode(self, tmp_path, capsys):
         qam = _saved(tmp_path, "qam-random", **KIND_PARAMS["qam-random"])

@@ -2,12 +2,14 @@
 
 Repetition optimality is cross-checked two independent ways: the dense kron
 tensor-sum eigenvalue and a circuit-level wide-register construction.  The
-synthetic boundary tables exercise the exact 2/3-fraction cut.
+batched tensor sums must match a per-tuple np.kron loop kept here as the
+reference.  The synthetic boundary tables exercise the exact 2/3-fraction cut.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from qamg.qam import (
     multilinear_f,
     optimal_qam_value,
     parallel_repetition_value,
+    parallel_repetition_values,
     qam_value,
     repeated_game_operator,
 )
@@ -45,6 +48,7 @@ from qamg.spectra import (
     eig_hermitian,
     rejection_operator_exact,
 )
+from qamg.amplification import threshold_count
 from qamg.exact import ExactScalar
 
 
@@ -224,7 +228,36 @@ class TestMultilinearF:
             multilinear_f([1.5], 1)
 
 
+def _reference_repetition(inst: QamInstance, n: int, y_tuple) -> tuple[float, float]:
+    """One tuple's threshold tensor sum by an np.kron loop over accepted patterns."""
+    ops = [(np.eye(1 << inst.m) - q, q) for q in (inst.coin_spectrum(y)[0] for y in y_tuple)]
+    tops = [float(inst.coin_spectrum(y)[1].eigenvalues[0]) for y in y_tuple]
+    t0 = threshold_count(n, inst.a, inst.b)
+    total = 0
+    for z in product((0, 1), repeat=n):
+        if sum(z) >= t0:
+            term = np.eye(1)
+            for zi, pair in zip(z, ops):
+                term = np.kron(term, pair[zi])
+            total = total + term
+    return float(eig_hermitian(total).eigenvalues[0]), float(multilinear_f(tops, t0))
+
+
 class TestParallelRepetition:
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_batched_matches_kron_loop(self, s):
+        inst = _random_instance(81 + s, s=s)
+        for n in (1, 2, 3):
+            lams, independent = parallel_repetition_values(inst, n)
+            tuples = list(product(inst.coins(), repeat=n))
+            assert lams.shape == independent.shape == (len(tuples),)
+            for lam, indep, y_tuple in zip(lams, independent, tuples):
+                ref_lam, ref_indep = _reference_repetition(inst, n, y_tuple)
+                assert abs(lam - ref_lam) <= 1e-12
+                assert indep == ref_indep
+        with pytest.raises(ValueError, match="round"):
+            parallel_repetition_values(inst, 0)
+
     def test_single_round_is_top_eigenvalue(self):
         inst = _random_instance(31, s=1)
         lam, indep = parallel_repetition_value(inst, 1, ["0"])

@@ -3,8 +3,8 @@
 Oracles: dim-2 cheating optima have a closed form (the tested subspaces
 reduce to single pure states), message-spectator gadgets reduce to a small
 eigenvalue problem, product strategies must square the single-shot value
-under two-fold repetition, and the reduced-rank see-saw must retrace a
-full-unitary see-saw kept here as the reference.
+under two-fold repetition, and every start of the batched reduced-rank
+see-saw must retrace a full-unitary see-saw kept here as the reference.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from qamg.circuits import (
 )
 from qamg.harness import generate_instance
 from qamg.qmam import (
+    CheatGame,
     MerlinStrategy,
     QipInstance,
     acceptance_tests,
@@ -48,7 +49,7 @@ from qamg.qmam import (
     translate_honest,
     uhlmann_bound_check,
 )
-from qamg.qmam import _apply_first, _apply_last, _seesaw_cheat
+from qamg.qmam import _apply_first, _apply_last, _dot_norms, _seesaw_cheat
 from qamg.spectra import eig_hermitian, partial_trace
 
 
@@ -378,6 +379,12 @@ class TestCheating:
         assert result.iterations >= 1
         assert isinstance(result.strategy, MerlinStrategy)
 
+    def test_needs_a_restart(self):
+        inst = build_qmam(_coin_base(0, 1, 1))
+        for restarts in (0, -4):
+            with pytest.raises(ValueError, match="restart"):
+                optimize_cheating(inst, restarts=restarts)
+
 
 def _reference_seesaw(game, psi0, u0, tol, max_iters):
     """Full-unitary see-saw: du x du polar steps by full SVD at every iteration."""
@@ -425,6 +432,25 @@ def _reference_seesaw(game, psi0, u0, tol, max_iters):
 
 
 class TestReducedSeesaw:
+    @staticmethod
+    def _check_batch(game, starts):
+        """Every start of one batched see-saw retraces its own full-unitary reference."""
+        du = 1 << (game.m + game.l)
+        identity = {y: np.eye(du, dtype=np.complex128) for y in game.coins()}
+        values, converged, iterations, strategy = _seesaw_cheat(
+            game, [psi0 for psi0, _ in starts], [u0 for _, u0 in starts], 1e-8, 500
+        )
+        for i, (psi0, u0) in enumerate(starts):
+            ref = _reference_seesaw(game, psi0, u0 or identity, 1e-8, 500)
+            assert iterations[i] == ref[4]
+            assert converged[i] == ref[3]
+            assert abs(values[i] - ref[0]) < 1e-8
+            played = strategy(i)
+            assert abs(strategy_value(game, played.psi, played.u_by_coin) - values[i]) < 1e-9
+            # batch-mates never touch a start's path: alone it ends bit for bit the same
+            alone = _seesaw_cheat(game, [psi0], [u0], 1e-8, 500)
+            assert (alone[0][0], alone[2][0]) == (values[i], iterations[i])
+
     @pytest.mark.parametrize(
         "kind, params, seed",
         [
@@ -440,19 +466,34 @@ class TestReducedSeesaw:
         dim = 1 << game.total_qubits
         du = 1 << (game.m + game.l)
         rng = np.random.Generator(np.random.Philox(key=seed))
-        identity = {y: np.eye(du, dtype=np.complex128) for y in game.coins()}
         # a random, non-identity starting response as in the seeds= path
         rotated = {y: np.linalg.qr(rng.normal(size=(du, du)) + 1j * rng.normal(size=(du, du)))[0]
                    for y in game.coins()}
-        for u0 in (identity, identity, rotated):
-            psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            ref = _reference_seesaw(game, psi0, u0, 1e-8, 500)
-            value, psi, us, converged, iters = _seesaw_cheat(game, psi0, u0, 1e-8, 500)
-            assert iters == ref[4]
-            assert converged == ref[3]
-            assert abs(value - ref[0]) < 1e-8
-            strategy = MerlinStrategy(psi=psi, u_by_coin=us)
-            assert abs(strategy_value(game, strategy.psi, strategy.u_by_coin) - value) < 1e-9
+        starts = [(rng.normal(size=dim) + 1j * rng.normal(size=dim), u0)
+                  for u0 in (None, None, rotated, None)]
+        self._check_batch(game, starts)
+
+    def test_norms_round_as_one_vector(self):
+        """The batch's norms equal numpy.linalg.norm of each row bit for bit."""
+        rng = np.random.Generator(np.random.Philox(key=9))
+        scales = 10.0 ** rng.integers(-8, 8, size=(3, 2, 1, 1))
+        rows = (rng.normal(size=(3, 2, 1, 40)) + 1j * rng.normal(size=(3, 2, 1, 40))) * scales
+        norms = _dot_norms(rows)
+        assert norms.shape == (3, 2, 1, 1)
+        for i, j in np.ndindex(3, 2):
+            assert norms[i, j, 0, 0] == np.linalg.norm(rows[i, j, 0])
+
+    @pytest.mark.parametrize("dead", [("1",), ("0", "1")])
+    def test_dead_targets(self, dead):
+        """A zero test operator leaves its coin without a target; with none left a start stops."""
+        game = cheat_game(build_qmam(generate_instance("qip-no", 5, k=3, m=1, coins=2)))
+        game = CheatGame(game.k, game.m, game.l, {
+            y: np.zeros_like(op) if y in dead else op for y, op in game.lambdas.items()
+        })
+        dim = 1 << game.total_qubits
+        rng = np.random.Generator(np.random.Philox(key=5))
+        self._check_batch(game, [(rng.normal(size=dim) + 1j * rng.normal(size=dim), None)
+                                 for _ in range(3)])
 
 
 class TestTwoWays:

@@ -24,7 +24,6 @@ from qamg.spectra import (
     eig_hermitian,
     max_acceptance,
     partial_trace,
-    top_eigenpair,
 )
 
 
@@ -132,31 +131,34 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(2, 3, 5, 5)) + 1j * rng.normal(size=(2, 3, 5, 5))
+        stack = a + a.conj().swapaxes(-1, -2)
+        decomp = eig_hermitian(stack)
+        assert decomp.eigenvalues.shape == (2, 3, 5) and decomp.vectors.shape == (2, 3, 5, 5)
+        for i, j in np.ndindex(2, 3):
+            single = eig_hermitian(stack[i, j])
+            assert np.abs(decomp.eigenvalues[i, j] - single.eigenvalues).max() <= 1e-12
+            assert np.all(np.diff(decomp.eigenvalues[i, j]) <= 1e-12)
+        assert np.abs(decomp.reconstruct() - stack).max() <= 1e-10
+
+    def test_stack_checks_every_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            eig_hermitian(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            eig_hermitian(np.zeros(3))
+        # the Hermitian tolerance scales per matrix, not by the stack's largest entry
+        stack = np.stack([np.diag([1e8, 0.0]), np.array([[0.0, 1e-3], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(stack)
+
     def test_large_magnitude_scaling(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4)) * 1e6
         h = a + a.T
         decomp = eig_hermitian(h)
         assert np.abs(h @ decomp.vectors - decomp.vectors * decomp.eigenvalues).max() <= 1e-4
-
-
-class TestTopEigenpair:
-    def test_matches_dense_on_psd(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        psd = a @ a.conj().T
-        dense = eig_hermitian(psd)
-        val, vec = top_eigenpair(psd, 16)
-        assert abs(val - dense.eigenvalues[0]) <= 1e-8 * max(1.0, dense.eigenvalues[0])
-        assert np.linalg.norm(psd @ vec - val * vec) <= 1e-6 * max(1.0, val)
-
-    def test_callable_form_and_zero(self):
-        val, _ = top_eigenpair(lambda v: np.zeros_like(v), 8)
-        assert val == 0.0
-        diag = np.diag([3.0, 1.0, 0.5, 0.0])
-        val, vec = top_eigenpair(lambda v: diag @ v, 4, seed=2)
-        assert abs(val - 3.0) <= 1e-9
-        assert abs(abs(vec[0]) - 1.0) <= 1e-6
 
 
 class TestAcceptanceOperator:
