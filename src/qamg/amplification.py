@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -137,6 +138,57 @@ def _check_normalized(witness: StateVector) -> None:
         raise ValueError(f"witness norm^2 = {ns}, not normalized")
 
 
+_U64 = (1 << 64) - 1
+# Philox4x64-10: the round multipliers split into 32-bit halves, and each
+# round's Weyl key increment, as columns
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_HALVES = (_PHILOX_M & np.uint64(0xFFFFFFFF), _PHILOX_M >> np.uint64(32))
+_PHILOX_BUMPS = np.array(
+    [[[r * 0x9E3779B97F4A7C15 & _U64], [r * 0xBB67AE8584CAA73B & _U64]] for r in range(10)],
+    dtype=np.uint64,
+)
+
+
+def _philox_keys(seed: int, draws: int) -> np.ndarray:
+    """(2, draws) uint64 low and high words of the 128-bit keys seed..seed+draws-1."""
+    if seed < 0 or seed + draws > 1 << 128:
+        raise ValueError(f"Philox keys {seed}..{seed + draws - 1} must lie in [0, 2**128)")
+    low = np.uint64(seed & _U64) + np.arange(draws, dtype=np.uint64)  # wraps mod 2^64
+    high = np.uint64(seed >> 64) + (low < np.uint64(seed & _U64)).astype(np.uint64)
+    return np.stack([low, high])
+
+
+def _philox_mulhilo(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products of the (2, len) words w with
+    the round multipliers, from 32-bit halves."""
+    half, mask = np.uint64(32), np.uint64(0xFFFFFFFF)
+    m0, m1 = _PHILOX_M_HALVES
+    w0, w1 = w & mask, w >> half
+    mid = m1 * w0 + (m0 * w0 >> half)  # no partial sum here reaches 2^64
+    hi = m1 * w1 + (mid >> half) + ((m0 * w1 + (mid & mask)) >> half)
+    return hi, _PHILOX_M * w
+
+
+def _philox_doubles(keys: np.ndarray, counter: int) -> np.ndarray:
+    """Philox4x64-10 block `counter` for every key, as (len, 4) doubles in [0, 1).
+
+    keys is the (2, len) uint64 array of `_philox_keys`.  numpy's Philox(key=k)
+    increments its counter before each block, so block c holds its draws
+    4(c-1)..4c-1, and (raw >> 11) * 2^-53 is what Generator.random() returns.
+    """
+    ctr = np.zeros((4, keys.shape[1]), dtype=np.uint64)
+    ctr[0], ctr[1] = counter & _U64, counter >> 64
+    for round_keys in keys + _PHILOX_BUMPS:  # uint64 adds wrap mod 2^64
+        hi, lo = _philox_mulhilo(ctr[0::2])
+        # the round's output words are (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0)
+        out = np.empty_like(ctr)
+        np.bitwise_xor(hi[::-1], ctr[1::2], out=out[0::2])
+        out[0::2] ^= round_keys
+        out[1::2] = lo[::-1]
+        ctr = out
+    return (ctr.T >> np.uint64(11)) * 2.0**-53
+
+
 def run_alternating_measurements(
     inst: QmaInstance,
     witness: StateVector,
@@ -154,9 +206,10 @@ def run_alternating_measurements(
 
     enumerate mode returns the full TrajectoryDistribution (both branches of
     every measurement, zero branches pruned).  sample mode plays `draws`
-    seeded trajectories in float, trajectory i drawing from Philox(key=seed+i),
-    and returns (z, accepted): a (draws, n_events) int8 array of agreement
-    patterns and a length-draws bool array.
+    seeded trajectories in float and returns (z, accepted): a (draws,
+    n_events) int8 array of agreement patterns and a length-draws bool array.
+    Trajectory i's doubles are the stream of numpy's Philox(key=seed+i),
+    Generator.random() bit for bit, computed for all trajectories at once.
     """
     if n_events < 1:
         raise ValueError("need at least one measurement event")
@@ -170,21 +223,22 @@ def run_alternating_measurements(
     if mode == "sample":
         if draws < 1:
             raise ValueError(f"sample mode needs at least one draw, got {draws}")
+        keys = _philox_keys(seed, draws)
         start = _embed_witness(witness.to_float() if witness.exact else witness, inst.m, inst.k)
         # every trajectory is one column of `state`, row b of z its agreement pattern
         state = StateVector(start.n, False, vec=np.repeat(start.vec[:, None], draws, axis=1))
-        rngs = [np.random.Generator(np.random.Philox(key=seed + b)) for b in range(draws)]
         z = np.empty((draws, n_events), dtype=np.int8)
         y_prev = np.ones(draws, dtype=bool)
         for i in range(1, n_events + 1):
+            if i % 4 == 1:  # events i..i+3 read the four doubles of counter block (i+3)/4
+                doubles = _philox_doubles(keys, (i + 3) // 4)
             odd = i % 2 == 1
             mask = pi_mask if odd else delta_mask
             state = apply_circuit(state, forward if odd else backward)
             v = state.vec
             weights = v.real ** 2 + v.imag ** 2
             prob_one = weights[mask].sum(axis=0)
-            # one double per trajectory per event: the stream of Generator.random(n_events)
-            y = np.fromiter((rng.random() for rng in rngs), np.float64, draws) < prob_one
+            y = doubles[:, (i - 1) % 4] < prob_one
             prob = np.where(y, prob_one, weights[~mask].sum(axis=0))
             v[mask[:, None] != y] = 0
             v /= np.sqrt(prob)
@@ -225,18 +279,23 @@ def binomial_tail(p: Rational, n: int, t0: int):
     if not isinstance(p, (Fraction, int, str)):
         return _binomial_tail_float(float(p), n, t0)
     pv = as_fraction(p)
-    total = Fraction(0)
-    for j in range(max(t0, 0), n + 1):
-        total += math.comb(n, j) * pv**j * (1 - pv) ** (n - j)
-    return total
+    a, b = pv.numerator, pv.denominator - pv.numerator
+    lo = min(max(t0, 0), n + 1)
+    if b == 0:  # p = 1
+        return Fraction(int(lo <= n))
+    # integer pmf numerators C(n,j) a^j b^(n-j) over d^n, each from the last by an exact division
+    first = math.comb(n, lo) * a**lo * b ** (n - lo) if lo <= n else 0
+    terms = accumulate(range(lo, n), lambda t, j: t * (n - j) * a // ((j + 1) * b), initial=first)
+    return Fraction(sum(terms), pv.denominator**n)
 
 
 def _binomial_tail_float(p: float, n: int, t0: int) -> float:
     """Float tail from pmf weights relative to the mode's, which is set to 1.
 
-    The weights follow the term ratio outward from the mode, so each lies in
-    [0, 1] and nothing overflows at any n.  The tail is the correctly rounded
-    sum of its weights over that of all weights, so it never exceeds 1.
+    The weights are cumulative products of the term ratio outward from the
+    mode, so each lies in [0, 1] and nothing overflows at any n.  Both sides
+    are numpy sums, and the tail is returned as tail / (head + tail) with
+    head >= 0, so it cannot exceed 1.
     """
     if t0 <= 0:
         return 1.0
@@ -246,13 +305,14 @@ def _binomial_tail_float(p: float, n: int, t0: int) -> float:
         return 1.0
     odds = p / (1.0 - p)
     mode = min(n, int((n + 1) * p))
-    weights = [0.0] * (n + 1)
+    j = np.arange(n + 1, dtype=np.float64)
+    weights = np.empty(n + 1)
     weights[mode] = 1.0
-    for j in range(mode, n):
-        weights[j + 1] = weights[j] * (n - j) / (j + 1) * odds
-    for j in range(mode, 0, -1):
-        weights[j - 1] = weights[j] * j / (n - j + 1) / odds
-    return math.fsum(weights[t0:]) / math.fsum(weights)
+    up, down = j[mode:n], j[mode:0:-1]
+    weights[mode + 1:] = np.cumprod((n - up) / (up + 1) * odds)  # weights[j+1] / weights[j]
+    weights[:mode][::-1] = np.cumprod(down / (n - down + 1) / odds)  # weights[j-1] / weights[j]
+    tail = weights[t0:].sum()
+    return float(tail / (weights[:t0].sum() + tail))
 
 
 def threshold_count(n: int, a: Fraction, b: Fraction) -> int:

@@ -63,10 +63,12 @@ GENERATOR_KINDS = (
     "qip-no",
 )
 
-VALID_MODES = {
-    "qma": ("enumerate", "sample", "analytic"),
-    "qam": ("enumerate", "analytic"),
-    "qmam": ("sample", "analytic"),
+# Each protocol's modes and the count flags each mode reads; passing any
+# other count flag is a usage error.
+MODE_FLAGS = {
+    "qma": {"enumerate": ("reps",), "sample": ("reps",), "analytic": ("reps", "copies")},
+    "qam": {"enumerate": (), "analytic": ("reps",)},
+    "qmam": {"sample": ("restarts",), "analytic": ()},
 }
 
 TABLE_COLUMNS = ("N_or_t", "message_qubits", "error")
@@ -445,18 +447,22 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.protocol not in VALID_MODES:
+        if self.protocol not in MODE_FLAGS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.mode not in VALID_MODES[self.protocol]:
+        if self.mode not in MODE_FLAGS[self.protocol]:
             raise ValueError(
                 f"mode {self.mode!r} not valid for {self.protocol}; "
-                f"choose from {VALID_MODES[self.protocol]}"
+                f"choose from {tuple(MODE_FLAGS[self.protocol])}"
             )
         if self.mode == "sample" and self.seed is None:
             raise ValueError("sampling modes require a seed")
         for name in ("reps", "copies", "restarts"):
             count = getattr(self, name)
-            if count is not None and count < 1:
+            if count is None:
+                continue
+            if name not in MODE_FLAGS[self.protocol][self.mode]:
+                raise ValueError(f"{self.protocol} {self.mode} mode does not read {name}")
+            if count < 1:
                 raise ValueError(f"{name} must be at least 1, got {count}")
 
     def echo(self) -> dict:

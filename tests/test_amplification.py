@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qamg.circuits import (
@@ -35,6 +35,8 @@ from qamg.amplification import (
     GapCertificate,
     QmaInstance,
     _embed_witness,
+    _philox_doubles,
+    _philox_keys,
     a0pp_check,
     amplified_counting_certificate,
     amplify_by_copies,
@@ -293,6 +295,9 @@ class TestRunAlternatingMeasurements:
 
     @settings(max_examples=60, deadline=None)
     @given(_sampling_case())
+    # keys 2^64-3..2^64+4 cross into the key's high word; 7 events cross a counter block
+    @example((generate_instance("qma-random", 3, m=2, k=2), StateVector.basis(2, 1),
+              7, 2**64 - 3, 8))
     def test_block_sampler_matches_one_trajectory_reference(self, case):
         inst, witness, n_events, seed, draws = case
         z, accepted = run_alternating_measurements(
@@ -316,6 +321,9 @@ class TestRunAlternatingMeasurements:
             run_alternating_measurements(inst, good, 2, mode="guess")
         with pytest.raises(ValueError, match="draw"):
             run_alternating_measurements(inst, good, 2, mode="sample", draws=0)
+        for seed, draws in ((-1, 1), (2**128 - 255, 256)):
+            with pytest.raises(ValueError, match="2\\*\\*128"):
+                run_alternating_measurements(inst, good, 2, mode="sample", seed=seed, draws=draws)
         bad = StateVector.from_amplitudes([0.5, 0.5])
         with pytest.raises(ValueError, match="normalized"):
             run_alternating_measurements(inst, bad, 2)
@@ -360,8 +368,7 @@ class TestBinomialTail:
                 pmf = _integer_pmf(p, n)
                 for t0 in sorted({0, 1, n // 2, int(n * p), int(n * p) + 3, n, n + 1}):
                     exact = Fraction(sum(pmf[t0:]), p.denominator**n)
-                    if n <= 32:
-                        assert binomial_tail(p, n, t0) == exact
+                    assert binomial_tail(p, n, t0) == exact
                     got = binomial_tail(float(p), n, t0)
                     assert abs(got - float(exact)) <= 1e-12
                     assert 0.0 <= got <= 1.0
@@ -371,11 +378,40 @@ class TestBinomialTail:
         assert binomial_tail(0.0, 8, 1) == 0.0
         assert binomial_tail(1.0, 8, 8) == 1.0
 
+    @pytest.mark.parametrize("p, n", [(1e-9, 50), (0.2, 3), (1 - 1e-12, 40), (0.3, 17)])
+    def test_float_tail_at_mode_edges(self, p, n):
+        # the first two put the mode at 0, the third at n
+        mode = min(n, int((n + 1) * p))
+        for t0 in sorted({0, 1, mode, n, n + 1}):
+            exact = float(binomial_tail(Fraction(p), n, t0))
+            got = binomial_tail(p, n, t0)
+            assert abs(got - exact) <= 1e-12 and 0.0 <= got <= 1.0
+
+    def test_float_tail_at_large_n(self):
+        p, n = Fraction(5, 8), 4096
+        for t0 in (n // 2, int(n * p), int(n * p) + 60):
+            assert abs(binomial_tail(float(p), n, t0) - float(binomial_tail(p, n, t0))) <= 1e-12
+        n = 1 << 20  # the --copies cap
+        for t0 in (n // 2 - 500, n // 2 + 500, n // 2 + 3000):
+            assert 0.0 <= binomial_tail(0.5, n, t0) <= 1.0
+
     def test_amplified_float_acceptance_past_1030_events(self):
         inst = _identity_instance()
         amp = amplify_preserving_witness(inst, 40)  # 1280 events
         assert amp.acceptance_probability(float(inst.a)) >= 1 - 2.0**-40
         assert amp.acceptance_probability(float(inst.b)) <= 2.0**-40
+
+
+class TestPhiloxKernel:
+    @pytest.mark.parametrize("key", [0, 2**64 - 1, 2**64, 2**127 + 3])
+    def test_blocks_match_numpy_philox(self, key):
+        keys = _philox_keys(key, 3)
+        got = np.concatenate([_philox_doubles(keys, c) for c in range(1, 6)], axis=1)
+        for b in range(3):
+            raw = np.random.Philox(key=key + b).random_raw(20)
+            assert np.array_equal(got[b], (raw >> np.uint64(11)) * 2.0**-53)
+            stream = np.random.Generator(np.random.Philox(key=key + b)).random(20)
+            assert np.array_equal(got[b], stream)
 
 
 class TestAmplifyPreservingWitness:

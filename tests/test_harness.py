@@ -489,6 +489,27 @@ class TestCli:
                          "--restarts", value]) == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    def test_unread_count_flags_exit_two(self, tmp_path, capsys, monkeypatch):
+        qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])
+        qam = _saved(tmp_path, "qam-random", name="qam.json", **KIND_PARAMS["qam-random"])
+        qmam = _saved(tmp_path, "qip-no", name="qmam.json", **KIND_PARAMS["qip-no"])
+        self._forbid_work(monkeypatch)
+        for path, mode, option, value in ((qmam, "sample", "--reps", "3"),
+                                          (qmam, "analytic", "--reps", "3"),
+                                          (qam, "enumerate", "--reps", "3"),
+                                          (qma, "enumerate", "--restarts", "4"),
+                                          (qma, "enumerate", "--copies", "2")):
+            assert main(["run", "--instance", path, "--mode", mode, option, value]) == 2
+            assert f"mode does not read {option[2:]}" in capsys.readouterr().err
+
+    def test_sample_seed_range(self, tmp_path, capsys):
+        qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])
+        # a run's 256 Philox keys seed..seed+255 must lie in [0, 2^128)
+        for seed, code in ((-1, 2), (2**128 - 255, 2), (2**128 - 256, 0), (2**64 - 1, 0)):
+            assert main(["run", "--instance", qma, "--mode", "sample", "--reps", "6",
+                         "--seed", str(seed)]) == code
+        assert "2**128" in capsys.readouterr().err
+
     def test_qam_has_no_sample_mode(self, tmp_path, capsys):
         qam = _saved(tmp_path, "qam-random", **KIND_PARAMS["qam-random"])
         assert main(["run", "--instance", qam, "--mode", "sample"]) == 2
