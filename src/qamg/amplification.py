@@ -24,12 +24,13 @@ from .circuits import (
     StateVector,
     apply_circuit,
     dagger,
+    exact_unitary,
     output_qubit_projector,
     to_unitary,
     workspace_zero_projector,
 )
-from .exact import ExactScalar, plane_matmul, planes_from_scalars
-from .spectra import acceptance_operator, acceptance_operator_exact
+from .exact import ExactScalar, plane_adjoint, plane_matmul, planes_from_scalars
+from .spectra import acceptance_operator, acceptance_operator_exact, accepted_columns_exact
 
 ENUMERATE_EVENT_CAP = 20
 _CERT_EXPONENT_CAP = 100_000
@@ -205,8 +206,11 @@ def run_alternating_measurements(
     z_i = [y_i = y_{i-1}]; acceptance is sum(z) >= N(a+b)/2, compared exactly.
 
     enumerate mode returns the full TrajectoryDistribution (both branches of
-    every measurement, zero branches pruned).  sample mode plays `draws`
-    seeded trajectories in float and returns (z, accepted): a (draws,
+    every measurement, zero branches pruned).  An exact witness on n qubits
+    replays the verifier's composed exact unitary, and its adjoint, as one
+    plane product per event once 2^n <= the verifier's gate count, where one
+    dense product per amplitude costs less than the gate list.  sample mode
+    plays `draws` seeded trajectories in float and returns (z, accepted): a (draws,
     n_events) int8 array of agreement patterns and a length-draws bool array.
     Trajectory i's doubles are the stream of numpy's Philox(key=seed+i),
     Generator.random() bit for bit, computed for all trajectories at once.
@@ -255,11 +259,18 @@ def run_alternating_measurements(
 
     # every live branch is one column of `state`; row b of z is its agreement prefix
     state = _embed_witness(witness, inst.m, inst.k)
+    composed = witness.exact and 1 << forward.width <= len(forward.gates)
+    if composed:
+        u = exact_unitary(forward)
+        u_dagger = plane_adjoint(u.planes)
     z = np.zeros((1, 0), dtype=np.int8)
     y_prev = np.ones(1, dtype=np.int8)
     for i in range(1, n_events + 1):
         odd = i % 2 == 1
-        state = apply_circuit(state, forward if odd else backward)
+        if composed:
+            state = state.transform(u.planes if odd else u_dagger, u.exponent)
+        else:
+            state = apply_circuit(state, forward if odd else backward)
         state = state.split(pi_mask if odd else delta_mask)
         y = np.tile(np.array([1, 0], dtype=np.int8), len(y_prev))
         z = np.column_stack([np.repeat(z, 2, axis=0), y == np.repeat(y_prev, 2)])
@@ -429,18 +440,25 @@ class GapCertificate:
         return 2 * self.h - 2**self.g
 
 
-def _exact_trace(planes: np.ndarray, e: int) -> Fraction:
-    """Trace of the matrix held by (4, d, d) planes at exponent e."""
+def _diagonal_sum(planes: np.ndarray) -> int:
+    """Integer sum of the diagonal of (4, d, d) planes, which must be rational."""
     diag = planes.diagonal(axis1=1, axis2=2)
     if (diag[1:] != 0).any():
         raise ValueError("acceptance operator diagonal must be rational")
-    return Fraction(int(diag[0].sum()), 1 << e)
+    return int(diag[0].sum())
 
 
 def counting_certificate(inst: QmaInstance) -> GapCertificate:
-    """tr(Q) = h / 2^g bit-exactly, g = Hadamard count of the verifier."""
+    """tr(Q) = h / 2^g bit-exactly, g = Hadamard count of the verifier.
+
+    tr(Q) is the sum of the exact squared norms of the accepted columns
+    whose Gram matrix Q is, so Q itself is never formed.
+    """
     g = inst.verifier.hadamard_count()
-    trace = _exact_trace(*planes_from_scalars(inst.q_operator_exact()))
+    norms = accepted_columns_exact(inst.verifier, inst.m, inst.k).norms_sq()
+    if not all(ns.is_rational() for ns in norms):
+        raise ValueError("acceptance operator diagonal must be rational")
+    trace = sum((ns.to_fraction() for ns in norms), Fraction(0))
     h = trace * 2**g
     if h.denominator != 1:
         raise ValueError(f"trace {trace} is not dyadic with exponent {g}")
@@ -450,13 +468,45 @@ def counting_certificate(inst: QmaInstance) -> GapCertificate:
 
 
 def tail_polynomial_coefficients(n: int, t0: int) -> list[int]:
-    """Integer coefficients of f(x) = sum_{j>=t0} C(n,j) x^j (1-x)^(n-j)."""
-    coeffs = [0] * (n + 1)
-    for j in range(max(t0, 0), n + 1):
-        cj = math.comb(n, j)
-        for i in range(n - j + 1):
-            coeffs[j + i] += cj * math.comb(n - j, i) * (-1) ** i
-    return coeffs
+    """Integer coefficients of f(x) = sum_{j>=t0} C(n,j) x^j (1-x)^(n-j).
+
+    The x^s coefficient is C(n,s) sum_{t0<=j<=s} (-1)^(s-j) C(s,j), and that
+    alternating partial sum of a binomial row is (-1)^(s-t0) C(s-1, t0-1).
+    """
+    if t0 <= 0:
+        return [1] + [0] * n
+    return [0] * min(t0, n + 1) + [
+        (-1) ** (s - t0) * math.comb(n, s) * math.comb(s - 1, t0 - 1) for s in range(t0, n + 1)
+    ]
+
+
+def _power_traces(q: np.ndarray, n: int) -> list[int]:
+    """T_t = tr(M^t) for t = 0..n, M the matrix the (4, d, d) planes q hold at exponent 0.
+
+    Powers are multiplied out only for t <= min(n, d), and their diagonals
+    must be rational.  Newton's identities turn those traces into the
+    coefficients C_1..C_d of M's characteristic polynomial
+    x^d + C_1 x^(d-1) + ... + C_d, and Cayley-Hamilton gives the rest:
+    T_t = -(C_1 T_(t-1) + ... + C_d T_(t-d)).  Each C_k is rational, by
+    Newton's identities on integer traces, and an algebraic integer, as a
+    sum of principal minors of M, so it is an integer and every division
+    below is exact.
+    """
+    d = q.shape[1]
+    traces = [d]
+    power = q
+    for t in range(1, min(n, d) + 1):
+        if t > 1:
+            power = plane_matmul(power, q)
+        traces.append(_diagonal_sum(power))
+    if n <= d:
+        return traces
+    c: list[int] = []  # c[i - 1] = C_i
+    for k in range(1, d + 1):
+        c.append(-(traces[k] + sum(c[i - 1] * traces[k - i] for i in range(1, k))) // k)
+    for t in range(d + 1, n + 1):
+        traces.append(-sum(c[i - 1] * traces[t - i] for i in range(1, d + 1)))
+    return traces
 
 
 def amplified_counting_certificate(inst: QmaInstance, r: int) -> GapCertificate:
@@ -464,7 +514,9 @@ def amplified_counting_certificate(inst: QmaInstance, r: int) -> GapCertificate:
 
     The amplified acceptance operator is f(Q) for the binomial tail f, so its
     trace is sum_t alpha_t tr(Q^t) with integer alpha_t; every tr(Q^t) is
-    dyadic with exponent t*g, making the total exact at exponent N*g.
+    dyadic with exponent t*g, making the total exact at exponent N*g.  The
+    power sums tr(Q^t) come from at most d = 2^m exact matrix powers and
+    Newton's identities (`_power_traces`), not from N matrix products.
     """
     amp = amplify_preserving_witness(inst, r)
     n = amp.n_events
@@ -473,14 +525,11 @@ def amplified_counting_certificate(inst: QmaInstance, r: int) -> GapCertificate:
     if g > _CERT_EXPONENT_CAP:
         raise ValueError(f"certificate exponent {g} exceeds cap {_CERT_EXPONENT_CAP}")
     coeffs = tail_polynomial_coefficients(n, threshold_count(n, inst.a, inst.b))
-    q, e = planes_from_scalars(inst.q_operator_exact())
-    trace = Fraction(coeffs[0]) * q.shape[1]
-    power = q  # Q^t at exponent t*e
-    for t in range(1, n + 1):
-        if t > 1:
-            power = plane_matmul(power, q)
-        if coeffs[t]:
-            trace += coeffs[t] * _exact_trace(power, t * e)
+    q, e = accepted_columns_exact(inst.verifier, inst.m, inst.k).gram_planes()
+    # tr(Q^t) = traces[t] / 2^(t*e); one integer over 2^(n*e) holds the sum
+    traces = _power_traces(q, n)
+    total = sum(c * tr << (n - t) * e for t, (c, tr) in enumerate(zip(coeffs, traces)))
+    trace = Fraction(total, 1 << n * e)
     h = trace * 2**g
     if h.denominator != 1:
         raise ValueError(f"amplified trace {trace} is not dyadic with exponent {g}")
@@ -507,7 +556,8 @@ def mixed_state_acceptance(inst: QmaInstance, exact: bool = False):
     )
     accepted = block.project(output_qubit_projector(0).outcome_one_mask(width)).norms_sq()
     if exact:
-        trace_route = _exact_trace(*planes_from_scalars(inst.q_operator_exact())) / dim
+        q, e = planes_from_scalars(inst.q_operator_exact())
+        trace_route = Fraction(_diagonal_sum(q), 1 << e) / dim
         avg = sum(p.to_fraction() for p in accepted) / dim
         if trace_route != avg:
             raise AssertionError(f"exact routes disagree: {trace_route} vs {avg}")

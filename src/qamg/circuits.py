@@ -12,8 +12,10 @@ planes for 1 and sqrt(2) with a single shared power-of-two exponent, so gate
 application is integer-only: Hadamard is add/subtract plus an exponent bump,
 the i-shift is a component rotation, and Toffoli is a slice swap.  After each
 circuit the power of two that every entry shares is divided out, so planes
-stay int64 and widen to Python ints only past 62 bits.  Exact inner products
-and Gram matrices are integer matrix products of the planes.
+stay int64 and widen to Python ints only past 62 bits.  Exact inner products,
+Gram matrices and composed-unitary passes are plane products
+(`exact.plane_matmul`), which run on float64 BLAS whenever a magnitude bound
+proves every partial sum an integer below 2^53, so exact in any order.
 """
 
 from __future__ import annotations
@@ -494,10 +496,22 @@ class StateVector:
         g = plane_matmul(plane_adjoint(self._view(1 << self.n)), other._view(1 << other.n))
         return ExactScalar(*(int(v) for v in g[:, 0, 0]), self.exponent + other.exponent)
 
+    def gram_planes(self) -> tuple[np.ndarray, int]:
+        """Planes and exponent of the exact Gram matrix of a block's columns."""
+        v = self._view(1 << self.n)
+        return plane_matmul(plane_adjoint(v), v), 2 * self.exponent
+
     def gram(self) -> list[list[ExactScalar]]:
         """Exact Gram matrix of a block's columns: entry [i][j] is <col_i|col_j>."""
-        v = self._view(1 << self.n)
-        return scalars_from_planes(plane_matmul(plane_adjoint(v), v), 2 * self.exponent)
+        return scalars_from_planes(*self.gram_planes())
+
+    def transform(self, planes: np.ndarray, exponent: int) -> StateVector:
+        """A new exact block: the 2^n x 2^n matrix that `planes` hold at
+        `exponent` applied to every column, as one plane product."""
+        out = plane_matmul(planes, self._view(1 << self.n))
+        return StateVector(
+            self.n, True, planes=out, exponent=self.exponent + exponent, skip_cap_check=True
+        )
 
     def project(self, mask: np.ndarray) -> StateVector:
         """Zero out amplitudes where mask is False (unnormalized), in every column."""
@@ -570,7 +584,12 @@ def to_unitary(c: Circuit) -> np.ndarray:
     return apply_circuit(StateVector.columns(c.width, range(1 << c.width)), c).vec
 
 
+def exact_unitary(c: Circuit) -> StateVector:
+    """The circuit's matrix as one exact block: column j is its image of |j>."""
+    return apply_circuit(StateVector.columns(c.width, range(1 << c.width), exact=True), c)
+
+
 def to_exact_columns(c: Circuit) -> list[list[ExactScalar]]:
     """Columns of the circuit's matrix as ExactScalar lists."""
-    block = apply_circuit(StateVector.columns(c.width, range(1 << c.width), exact=True), c)
+    block = exact_unitary(c)
     return scalars_from_planes(block.planes.transpose(0, 2, 1), block.exponent)

@@ -8,6 +8,10 @@ value, so equality is structural and serialization round-trips bit-exactly.
 Matrices over the ring are stored as integer planes: an array of shape
 (4, rows, cols) holding Re x, Im x, Re y and Im y of every entry
 (x + y*sqrt(2)) / 2**e, with one exponent e shared by the whole matrix.
+A product of two such matrices is sixteen integer plane products, taken as
+one float64 BLAS product when the entries' bit lengths bound every partial
+sum below 2**53: float64 holds those integers exactly, so the result does not
+depend on BLAS's summation order.  Wider entries use int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ _TOKEN_RE = re.compile(
 APPROX_MAX_BITS = 50
 _GUARD_BITS = 64
 _INT64_BITS = 63
+_FLOAT64_BITS = 53
 
 
 def _gmul(ar: int, ai: int, br: int, bi: int) -> tuple[int, int]:
@@ -208,18 +213,30 @@ HALF = ExactScalar(1, 0, 0, 0, 1)
 # --- matrices as integer planes ---
 
 
-def fit_int64(terms: int, *planes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The plane arrays, as int64 if sums of `terms` entry products fit, else as object.
+def _product_dtype(terms: int, *planes: np.ndarray):
+    """The narrowest dtype in which sums of `terms` entry products of the planes are exact.
 
     With every |entry| < 2**bits, each entry of a product or squared norm
-    sums `terms` products weighted by at most 6, so it stays below
-    2**(2*bits + ceil(log2 terms) + 3).
+    sums `terms` products weighted by at most 6, so every partial sum stays
+    below 2**(2*bits + ceil(log2 terms) + 3).  float64 holds every integer
+    below 2**53 exactly, so under that bound a BLAS product is exact in any
+    summation order; int64 holds it up to 2**63; past that, Python ints.
     """
     if all(p.dtype == np.int64 for p in planes):
-        bits = max(int(np.abs(p).max(initial=0)).bit_length() for p in planes)
-        if 2 * bits + (terms - 1).bit_length() + 3 <= _INT64_BITS:
-            return planes
-    return tuple(p.astype(object) for p in planes)
+        bits = max(max(int(p.max(initial=0)), -int(p.min(initial=0))).bit_length() for p in planes)
+        need = 2 * bits + (terms - 1).bit_length() + 3
+        if need <= _FLOAT64_BITS:
+            return np.float64
+        if need <= _INT64_BITS:
+            return np.int64
+    return object
+
+
+def fit_int64(terms: int, *planes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The plane arrays, as int64 if sums of `terms` entry products fit, else as object."""
+    if _product_dtype(terms, *planes) is object:
+        return tuple(p.astype(object) for p in planes)
+    return planes
 
 
 def plane_adjoint(a: np.ndarray) -> np.ndarray:
@@ -228,17 +245,25 @@ def plane_adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def plane_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Planes of A @ B (exponents add): sixteen integer matrix products."""
-    a, b = fit_int64(a.shape[-1], a, b)
-    axr, axi, ayr, ayi = a
-    bxr, bxi, byr, byi = b
+    """Planes of A @ B (exponents add), as int64 or object.
+
+    All sixteen plane products are one broadcast product of A's planes
+    stacked by rows with each plane of B, in the dtype
+    `_product_dtype` picks: float64 BLAS under its bound, else int64 or
+    Python ints.
+    """
+    dtype = _product_dtype(a.shape[-1], a, b)
+    _, rows, inner = a.shape
+    # p[j, i] = (plane i of A) @ (plane j of B)
+    p = (a.astype(dtype).reshape(4 * rows, inner) @ b.astype(dtype)).reshape(4, 4, rows, -1)
     # (xa + ya r)(xb + yb r) = (xa xb + 2 ya yb) + (xa yb + ya xb) r,  r = sqrt(2)
-    return np.stack([
-        axr @ bxr - axi @ bxi + 2 * (ayr @ byr - ayi @ byi),
-        axr @ bxi + axi @ bxr + 2 * (ayr @ byi + ayi @ byr),
-        axr @ byr - axi @ byi + ayr @ bxr - ayi @ bxi,
-        axr @ byi + axi @ byr + ayr @ bxi + ayi @ bxr,
+    out = np.stack([
+        p[0, 0] - p[1, 1] + 2 * (p[2, 2] - p[3, 3]),
+        p[1, 0] + p[0, 1] + 2 * (p[3, 2] + p[2, 3]),
+        p[2, 0] - p[3, 1] + p[0, 2] - p[1, 3],
+        p[3, 0] + p[2, 1] + p[1, 2] + p[0, 3],
     ])
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def planes_from_scalars(rows: Sequence[Sequence[ExactScalar]]) -> tuple[np.ndarray, int]:

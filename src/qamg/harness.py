@@ -63,12 +63,18 @@ GENERATOR_KINDS = (
     "qip-no",
 )
 
-# Each protocol's modes and the count flags each mode reads; passing any
-# other count flag is a usage error.
+# Each protocol's modes and, for each mode, the flag sets one run of it can
+# read: the count flags and --exact a run passes must all lie in one set, or
+# the run is a usage error.  A qma analytic run reads --copies in place of
+# --reps.
 MODE_FLAGS = {
-    "qma": {"enumerate": ("reps",), "sample": ("reps",), "analytic": ("reps", "copies")},
-    "qam": {"enumerate": (), "analytic": ("reps",)},
-    "qmam": {"sample": ("restarts",), "analytic": ()},
+    "qma": {
+        "enumerate": (("reps", "exact"),),
+        "sample": (("reps", "exact"),),
+        "analytic": (("reps", "exact"), ("copies", "exact")),
+    },
+    "qam": {"enumerate": ((),), "analytic": (("reps",),)},
+    "qmam": {"sample": (("restarts",),), "analytic": ((),)},
 }
 
 TABLE_COLUMNS = ("N_or_t", "message_qubits", "error")
@@ -456,14 +462,19 @@ class ExperimentConfig:
             )
         if self.mode == "sample" and self.seed is None:
             raise ValueError("sampling modes require a seed")
-        for name in ("reps", "copies", "restarts"):
-            count = getattr(self, name)
-            if count is None:
-                continue
-            if name not in MODE_FLAGS[self.protocol][self.mode]:
+        counts = [name for name in ("reps", "copies", "restarts")
+                  if getattr(self, name) is not None]
+        flags = counts + ["exact"] * self.exact
+        readings = MODE_FLAGS[self.protocol][self.mode]
+        for name in flags:
+            if not any(name in reading for reading in readings):
                 raise ValueError(f"{self.protocol} {self.mode} mode does not read {name}")
-            if count < 1:
-                raise ValueError(f"{name} must be at least 1, got {count}")
+        if not any(set(flags) <= set(reading) for reading in readings):
+            apart = " and ".join(f for f in flags if not all(f in r for r in readings))
+            raise ValueError(f"{self.protocol} {self.mode} mode does not read {apart} together")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def echo(self) -> dict:
         return {

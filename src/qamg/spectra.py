@@ -90,6 +90,12 @@ def _gram_operator_exact(
     return _message_columns(verifier, m, k, layout, outcome, exact=True).gram()
 
 
+def accepted_columns_exact(verifier: Circuit, m: int, k: int) -> StateVector:
+    """The exact block whose Gram matrix is the acceptance operator: the
+    verifier on every message basis state, projected on acceptance."""
+    return _message_columns(verifier, m, k, MESSAGE_FIRST, 1, exact=True)
+
+
 def acceptance_operator(
     verifier: Circuit, m: int, k: int, layout: str = MESSAGE_FIRST
 ) -> np.ndarray:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 
 from qamg.amplification import (
     QmaInstance,
@@ -348,6 +349,7 @@ def test_criterion_07_markov_two_thirds():
             f"{len(combos)} generated instances plus exact boundary table")
 
 
+@pytest.mark.slow
 def test_criterion_08_one_coin_completeness_soundness():
     """Honest provers win surely; cheating stays under the soundness bound."""
     started = time.monotonic()
@@ -431,6 +433,7 @@ def test_criterion_09_fidelity_and_uhlmann_fuzz():
             f"(max measured-bound {worst_over:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_10_max_acceptance_two_routes():
     """Direct prover optimization agrees with the reduced-state overlap form."""
     started = time.monotonic()

@@ -31,12 +31,14 @@ from qamg.circuits import (
     workspace_zero_projector,
     x_gates,
 )
+import qamg.amplification as amplification
 from qamg.amplification import (
     GapCertificate,
     QmaInstance,
     _embed_witness,
     _philox_doubles,
     _philox_keys,
+    _power_traces,
     a0pp_check,
     amplified_counting_certificate,
     amplify_by_copies,
@@ -47,10 +49,11 @@ from qamg.amplification import (
     mixed_state_acceptance,
     run_alternating_measurements,
     sequence_probability,
+    tail_polynomial_coefficients,
     threshold_count,
     transition_frame,
 )
-from qamg.exact import INV_SQRT2, ONE, ZERO
+from qamg.exact import INV_SQRT2, ONE, ZERO, ExactScalar, plane_matmul, planes_from_scalars
 from qamg.harness import generate_instance
 from qamg.spectra import eig_hermitian
 
@@ -77,6 +80,26 @@ def _one_branch_enumerate(inst: QmaInstance, witness: list, n_events: int) -> di
                     nxt.append((z + (int(outcome == y_prev),), outcome, branch))
         branches = nxt
     return {z: state.norm_sq().to_fraction() for z, _, state in branches}
+
+
+def _gate_path_enumerate(inst: QmaInstance, witness: StateVector, n_events: int) -> dict:
+    """The block enumerator replaying the verifier's gates, and its dagger's, at every event."""
+    n = inst.verifier.width
+    masks = (
+        workspace_zero_projector(inst.k).outcome_one_mask(n),
+        output_qubit_projector(0).outcome_one_mask(n),
+    )
+    state = _embed_witness(witness, inst.m, inst.k)
+    z = np.zeros((1, 0), dtype=np.int8)
+    y_prev = np.ones(1, dtype=np.int8)
+    for i in range(1, n_events + 1):
+        state = apply_circuit(state, inst.verifier if i % 2 else dagger(inst.verifier))
+        state = state.split(masks[i % 2])
+        y = np.tile(np.array([1, 0], dtype=np.int8), len(y_prev))
+        z = np.column_stack([np.repeat(z, 2, axis=0), y == np.repeat(y_prev, 2)])
+        live = state.live_columns()
+        state, z, y_prev = state.select(live), z[live], y[live]
+    return {tuple(row): ns.to_fraction() for row, ns in zip(z.tolist(), state.norms_sq())}
 
 
 def _one_trajectory_reference(
@@ -256,6 +279,40 @@ class TestRunAlternatingMeasurements:
             want = _one_branch_enumerate(inst, amps, 8)
             assert len(want) == 256
             assert list(dist.probs.items()) == list(want.items())
+
+    @pytest.mark.parametrize("kind, params, composed", [
+        ("qma-p", {"target": "11/16", "m": 1, "k": 3}, True),  # 2^4 <= 37 gates
+        ("qma-p", {"target": "1", "m": 1, "k": 2}, True),  # 2^3 <= 29 gates, p = 1
+        ("qma-random", {"m": 1, "k": 2, "gates": 8}, True),  # 2^3 <= 8 gates, at the rule
+        ("qma-random", {"m": 1, "k": 2, "gates": 7}, False),  # 2^3 > 7 gates
+        ("qma-random", {"m": 2, "k": 3}, False),  # 2^5 > 15 gates
+        ("qma-random", {"m": 2, "k": 2, "gates": 40}, True),  # 2^4 <= 40 gates
+    ])
+    def test_composed_unitary_matches_gate_path(self, kind, params, composed, monkeypatch):
+        inst = generate_instance(kind, 3, **params)
+        builds, build = [], amplification.exact_unitary
+
+        def counted(c):
+            builds.append(c)
+            return build(c)
+
+        monkeypatch.setattr(amplification, "exact_unitary", counted)
+        half_i = ExactScalar(0, 0, 0, 1, 1)  # i / sqrt(2)
+        size = 1 << inst.m
+        witnesses = [[ONE if j == i else ZERO for j in range(size)] for i in range(size)]
+        witnesses.append([INV_SQRT2, half_i] + [ZERO] * (size - 2))
+        if size > 2:
+            witnesses.append([ZERO, INV_SQRT2, ZERO, -INV_SQRT2][:size] + [ZERO] * (size - 4))
+        for amps in witnesses:
+            witness = StateVector.from_amplitudes(amps, exact=True)
+            for n_events in (1, 2, 5, 8):
+                builds.clear()
+                dist = run_alternating_measurements(inst, witness, n_events)
+                assert builds == ([inst.verifier] if composed else [])
+                want = _gate_path_enumerate(inst, witness, n_events)
+                assert list(dist.probs.items()) == list(want.items())
+                assert all(isinstance(p, Fraction) for p in dist.probs.values())
+                assert dist.total() == 1
 
     def test_matches_sequence_probability_formula(self):
         inst = _half_instance()
@@ -505,6 +562,79 @@ class TestCountingCertificate:
         t0 = threshold_count(n, inst.a, inst.b)
         assert cert.value == 2 * binomial_tail(Fraction(1, 4), n, t0)
         assert cert.g == n * inst.verifier.hadamard_count()
+
+
+def _reference_tail_coefficients(n: int, t0: int) -> list[int]:
+    """f(x) = sum_{j>=t0} C(n,j) x^j (1-x)^(n-j), each term expanded by the binomial theorem."""
+    coeffs = [0] * (n + 1)
+    for j in range(max(t0, 0), n + 1):
+        cj = math.comb(n, j)
+        for i in range(n - j + 1):
+            coeffs[j + i] += cj * math.comb(n - j, i) * (-1) ** i
+    return coeffs
+
+
+def _reference_amplified_certificate(inst: QmaInstance, r: int) -> tuple[int, int]:
+    """(h, g) of the amplified certificate from one exact matrix power per event."""
+    n = amplify_preserving_witness(inst, r).n_events
+    g = n * inst.verifier.hadamard_count()
+    coeffs = _reference_tail_coefficients(n, threshold_count(n, inst.a, inst.b))
+    q, e = planes_from_scalars(inst.q_operator_exact())
+    trace = Fraction(coeffs[0]) * q.shape[1]
+    power = q  # Q^t at exponent t*e
+    for t in range(1, n + 1):
+        if t > 1:
+            power = plane_matmul(power, q)
+        diag = power.diagonal(axis1=1, axis2=2)
+        assert not diag[1:].any()
+        trace += coeffs[t] * Fraction(int(diag[0].sum()), 1 << t * e)
+    h = trace * 2**g
+    assert h.denominator == 1
+    return h.numerator, g
+
+
+class TestPowerSumCertificate:
+    def test_tail_coefficients_match_expansion(self):
+        for n in range(0, 40):
+            for t0 in range(-2, n + 3):
+                assert tail_polynomial_coefficients(n, t0) == _reference_tail_coefficients(n, t0)
+
+    def test_power_traces_match_direct_powers(self):
+        for m, k, seed in ((0, 2, 1), (1, 2, 2), (2, 2, 3), (3, 1, 4)):
+            inst = generate_instance("qma-random", seed, m=m, k=k)
+            q, _ = planes_from_scalars(inst.q_operator_exact())
+            d = q.shape[1]
+            direct, power = [d], q
+            for t in range(1, 2 * d + 3):
+                direct.append(int(power.diagonal(axis1=1, axis2=2)[0].sum()))
+                power = plane_matmul(power, q)
+            for n in range(0, 2 * d + 3):  # n < d, n = d and n > d
+                assert _power_traces(q, n) == direct[:n + 1]
+
+    @pytest.mark.parametrize("inst", [
+        generate_instance("qma-random", 5, m=0, k=2),
+        generate_instance("qma-random", 6, m=1, k=2),
+        generate_instance("qma-random", 7, m=2, k=3),
+        generate_instance("qma-random", 8, m=3, k=2),
+        generate_instance("qma-p", 0, target="1", m=1, k=2),  # p = 1
+        generate_instance("qma-p", 0, target="5/8", m=2, k=3),
+        _identity_instance(),
+        _quarter_instance(),
+    ], ids=["m0", "m1", "m2", "m3", "p1", "p58", "identity", "quarter"])
+    def test_matches_power_loop(self, inst):
+        for r in (1, 2, 3):  # N = 8 q^2 r > d = 2^m
+            cert = amplified_counting_certificate(inst, r)
+            assert (cert.h, cert.g) == _reference_amplified_certificate(inst, r)
+
+    @pytest.mark.parametrize("m, k", [(3, 1), (4, 1)])
+    def test_matches_power_loop_at_and_below_dimension(self, m, k):
+        # a = 1, b = 0 gives q = 1 and N = 8r: N = d at m = 3, r = 1 and at
+        # m = 4, r = 2; N < d at m = 4, r = 1
+        base = generate_instance("qma-random", 9, m=m, k=k, gates=4 * (m + k))
+        inst = QmaInstance(base.verifier, m, k, a=Fraction(1), b=Fraction(0))
+        for r in (1, 2, 3):
+            cert = amplified_counting_certificate(inst, r)
+            assert (cert.h, cert.g) == _reference_amplified_certificate(inst, r)
 
 
 class TestA0ppCheck:

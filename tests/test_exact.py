@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qamg.exact import (
     APPROX_MAX_BITS,
@@ -15,6 +18,9 @@ from qamg.exact import (
     SQRT2,
     ZERO,
     ExactScalar,
+    _product_dtype,
+    fit_int64,
+    plane_matmul,
 )
 
 
@@ -162,3 +168,50 @@ def test_equality_is_value_equality():
     assert ExactScalar(2, 2, 4, 4, 3) == ExactScalar(1, 1, 2, 2, 2)
     assert hash(ExactScalar(2, 2, 4, 4, 3)) == hash(ExactScalar(1, 1, 2, 2, 2))
     assert ExactScalar.from_int(1) != ExactScalar.from_int(-1)
+
+
+def _reference_plane_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sixteen separate int64 or Python-int products: the kernel before float64 BLAS."""
+    a, b = fit_int64(a.shape[-1], a, b)
+    axr, axi, ayr, ayi = a
+    bxr, bxi, byr, byi = b
+    return np.stack([
+        axr @ bxr - axi @ bxi + 2 * (ayr @ byr - ayi @ byi),
+        axr @ bxi + axi @ bxr + 2 * (ayr @ byi + ayi @ byr),
+        axr @ byr - axi @ byi + ayr @ bxr - ayi @ bxi,
+        axr @ byi + axi @ byr + ayr @ bxi + ayi @ bxr,
+    ])
+
+
+@st.composite
+def _plane_pair(draw):
+    rows, inner, cols = (draw(st.integers(1, n)) for n in (5, 70, 5))
+    # the widest entries whose product sums meet the float64 (53) or int64 (63)
+    # bound of `_product_dtype`, or one bit wider
+    limit, past = draw(st.sampled_from([53, 63])), draw(st.booleans())
+    bits = (limit - (inner - 1).bit_length() - 3) // 2 + past
+    top = (1 << bits) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        # every entry at full width, signed so the x plane sums 6 * inner * top^2
+        a = np.full((4, rows, inner), top, dtype=np.int64)
+        b = np.full((4, inner, cols), top, dtype=np.int64) * np.array([1, -1, 1, -1])[:, None, None]
+    else:
+        a = rng.integers(-top, top, size=(4, rows, inner), endpoint=True)
+        b = rng.integers(-top, top, size=(4, inner, cols), endpoint=True)
+        a[0, 0, 0], b[3, -1, -1] = top, -top  # reach the full width
+    return a, b, bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plane_pair())
+def test_plane_matmul_matches_reference_products(case):
+    a, b, bits = case
+    need = 2 * bits + (a.shape[-1] - 1).bit_length() + 3
+    want_dtype = np.float64 if need <= 53 else np.int64 if need <= 63 else object
+    assert _product_dtype(a.shape[-1], a, b) is want_dtype
+    got = plane_matmul(a, b)
+    assert got.dtype == (object if want_dtype is object else np.int64)
+    assert got.tolist() == _reference_plane_matmul(a, b).tolist()
+    # Python-int planes take the same product
+    assert plane_matmul(a.astype(object), b.astype(object)).tolist() == got.tolist()

@@ -502,6 +502,32 @@ class TestCli:
             assert main(["run", "--instance", path, "--mode", mode, option, value]) == 2
             assert f"mode does not read {option[2:]}" in capsys.readouterr().err
 
+    def test_unread_exact_and_paired_counts_exit_two(self, tmp_path, capsys, monkeypatch):
+        qma = _saved(tmp_path, "qma-p", **KIND_PARAMS["qma-p"])
+        qam = _saved(tmp_path, "qam-random", name="qam.json", **KIND_PARAMS["qam-random"])
+        qmam = _saved(tmp_path, "qip-no", name="qmam.json", **KIND_PARAMS["qip-no"])
+        self._forbid_work(monkeypatch)
+        for path, mode, options, message in (
+            (qma, "analytic", ("--copies", "3", "--reps", "5"),
+             "qma analytic mode does not read reps and copies together"),
+            (qma, "analytic", ("--copies", "3", "--reps", "5", "--exact"),
+             "qma analytic mode does not read reps and copies together"),
+            (qam, "enumerate", ("--exact",), "qam enumerate mode does not read exact"),
+            (qam, "analytic", ("--reps", "2", "--exact"), "qam analytic mode does not read exact"),
+            (qmam, "sample", ("--exact",), "qmam sample mode does not read exact"),
+            (qmam, "analytic", ("--exact",), "qmam analytic mode does not read exact"),
+        ):
+            assert main(["run", "--instance", path, "--mode", mode, *options]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_exact_reads_with_either_qma_count(self, tmp_path):
+        qma = _saved(tmp_path, "qma-p", **KIND_PARAMS["qma-p"])
+        for options in (("--copies", "3"), ("--reps", "5")):
+            out = tmp_path / "report.json"
+            assert main(["run", "--instance", qma, "--mode", "analytic", *options, "--exact",
+                         "--out", str(out)]) == 0
+            assert "h" in json.loads(out.read_text())["values"]["certificate"]
+
     def test_sample_seed_range(self, tmp_path, capsys):
         qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])
         # a run's 256 Philox keys seed..seed+255 must lie in [0, 2^128)
