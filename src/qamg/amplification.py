@@ -87,6 +87,13 @@ class QmaInstance:
         """Float acceptance operator, built on first use; shared, so read-only."""
         return self._q_float
 
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """The verifier expanded once; shared, so read-only."""
+        u = to_unitary(self.verifier)
+        u.flags.writeable = False
+        return u
+
     def q_operator_exact(self) -> list[list[ExactScalar]]:
         return acceptance_operator_exact(self.verifier, self.m, self.k)
 
@@ -585,10 +592,10 @@ class TransitionFrame:
     gamma1: np.ndarray
     delta0: np.ndarray
     delta1: np.ndarray
-    verifier: Circuit = field(compare=False)
+    u: np.ndarray = field(compare=False, repr=False)  # the verifier's unitary
 
     def recurrence_residuals(self) -> dict:
-        u = to_unitary(self.verifier)
+        u = self.u
         sp, sq = math.sqrt(self.p), math.sqrt(1.0 - self.p)
         return {
             "forward_from_delta0": float(
@@ -621,7 +628,7 @@ def transition_frame(inst: QmaInstance, witness: np.ndarray, atol: float = 1e-9)
     n = inst.verifier.width
     pi_mask = output_qubit_projector(0).outcome_one_mask(n)
     delta_mask = workspace_zero_projector(inst.k).outcome_one_mask(n)
-    u = to_unitary(inst.verifier)
+    u = inst.unitary
     phi = np.zeros(1 << n, dtype=np.complex128)
     phi[np.arange(1 << inst.m) << inst.k] = witness
     a_phi = u @ phi
@@ -631,6 +638,5 @@ def transition_frame(inst: QmaInstance, witness: np.ndarray, atol: float = 1e-9)
     delta0 = np.where(delta_mask, 0.0, back) / math.sqrt(1.0 - p)
     delta1 = np.where(delta_mask, back, 0.0) / math.sqrt(p)
     return TransitionFrame(
-        p=p, phi=phi, gamma0=gamma0, gamma1=gamma1, delta0=delta0, delta1=delta1,
-        verifier=inst.verifier,
+        p=p, phi=phi, gamma0=gamma0, gamma1=gamma1, delta0=delta0, delta1=delta1, u=u
     )

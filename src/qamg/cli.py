@@ -67,6 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args fills a fresh namespace on every call
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = {
         key: value
@@ -141,9 +144,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

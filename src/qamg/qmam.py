@@ -276,9 +276,9 @@ def _polar_align(c: np.ndarray) -> np.ndarray:
 
 
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:
-    """Square unitary whose leading columns are the orthonormal columns given."""
+    """Square unitary whose leading columns are the orthonormal columns given; takes stacks."""
     full, _ = np.linalg.qr(cols, mode="complete")
-    full[:, : cols.shape[1]] = cols
+    full[..., : cols.shape[-1]] = cols
     return full
 
 
@@ -424,104 +424,70 @@ def honest_value(inst: QmamInstance, prover: Optional[tuple] = None) -> float:
 # --- the two characterizations of three-message max acceptance ---
 
 
-def _seesaw_direct(
-    base: QipInstance, psi0: np.ndarray, tol: float, max_iters: int
-) -> tuple[float, np.ndarray, np.ndarray, bool, int]:
-    """max ||project(V2 (I (x) U) V1 |0..0, psi>)||^2 over psi and U."""
-    k, m = base.k, base.m
-    l = k + m
-    dim_vm = 1 << (k + m)
-    u1 = to_unitary(base.v1)
-    u2 = to_unitary(base.v2)
-    n_tot = k + m + l
-    idx = np.arange(1 << n_tot)
-    pi_mask = (idx >> (n_tot - 1)) & 1 == 1
-    du = 1 << (m + l)
-    psi = psi0 / np.linalg.norm(psi0)
-    u = np.eye(du, dtype=np.complex128)
-    value = -1.0
-    for it in range(1, max_iters + 1):
-        start = np.zeros(1 << n_tot, dtype=np.complex128)
-        start.reshape(1 << k, du)[0, :] = psi
-        w = _apply_first(start, u1, dim_vm)
-        moved = _apply_last(w, u, 1 << k)
-        final = _apply_first(moved, u2, dim_vm)
-        projected = np.where(pi_mask, final, 0.0)
-        new_value = float(np.real(np.vdot(final, projected)))
-        if new_value <= value + tol:
-            return max(new_value, value), psi, u, True, it
-        value = new_value
-        norm_t = np.linalg.norm(projected)
-        if norm_t < 1e-150:
-            # dead end: nothing reaches the accepting subspace from here
-            return value, psi, u, True, it
-        t = projected / norm_t
-        # unitary step against the fixed prepared state
-        alpha = _apply_first(t, u2.conj().T, dim_vm)
-        c = (alpha.reshape(1 << k, du).conj().T @ w.reshape(1 << k, du)).T
-        u = _polar_align(c)
-        # state step: pull the target back and read off the zeroed-work block
-        back = _apply_last(alpha, u.conj().T, 1 << k)
-        back = _apply_first(back, u1.conj().T, dim_vm)
-        block = back.reshape(1 << k, du)[0, :]
-        norm = np.linalg.norm(block)
-        if norm > 1e-150:
-            psi = block / norm
-    return value, psi, u, False, max_iters
+def _lift(basis: np.ndarray, phi: np.ndarray, dim_first: int) -> np.ndarray:
+    """(basis (x) I) phi for each row of an (n, cols * rest) stack, as (n, dim_first, du)."""
+    return (basis @ phi.reshape(len(phi), basis.shape[1], -1)).reshape(len(phi), dim_first, -1)
 
 
-def _range_projector(op: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    decomp = eig_hermitian(op)
-    keep = decomp.eigenvalues > atol
-    v = decomp.vectors[:, keep]
-    return v @ v.conj().T
+def _project(lam: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Lambda (I (x) U) of each (dim_first, du) state, Lambda on the leading block; (n, 1, dim)."""
+    moved = states @ u.swapaxes(1, 2)
+    return (lam @ moved.reshape(len(moved), len(lam), -1)).reshape(len(moved), 1, -1)
 
 
-def _seesaw_overlap(
-    proj_a: np.ndarray,
-    proj_b: np.ndarray,
-    dim_v: int,
-    dim_vm: int,
-    x0: np.ndarray,
-    y0: np.ndarray,
+def _pull_back(basis: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(basis^H (x) I)(I (x) U^H) of each (n, 1, dim) row, as an (n, cols * rest) stack."""
+    # T conj(U) = conj(conj(T) U): conjugating the rows copies no du x du matrix
+    back = (rows.reshape(len(rows), -1, u.shape[-1]).conj() @ u).conj()
+    return (basis.conj().T @ back.reshape(len(rows), len(basis), -1)).reshape(len(rows), -1)
+
+
+def _seesaw_confined(
+    lam: np.ndarray,
+    basis: np.ndarray,
+    dim_first: int,
+    phi0: np.ndarray,
+    u0: np.ndarray,
     tol: float,
     max_iters: int,
-    w0: Optional[np.ndarray] = None,
-    pin_a: bool = False,
-) -> float:
-    """max |<u|(I (x) W)|w>|^2 with u, w confined to lifted front subspaces.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """max ||Lambda (I (x) U) B phi||^2 over unit phi and unitary U, from every start at once.
 
-    proj_a and proj_b act on the leading dim_vm block; W acts on everything
-    after the leading dim_v block.  With pin_a the u side stays fixed at x0.
+    B = basis (x) I confines the state, the projector Lambda acts on the
+    leading block of its size, and U on everything after the leading
+    dim_first block.  Each iteration projects onto the target, aligns U with
+    it, and pulls the target back into the confined state.  The target has
+    rank at most dim_first, so with the thin QR S^T = Q R of the state S the
+    unitary step is one r x du polar alignment of R conj(T).  A start stops
+    once it gains at most tol or its target is dead (converged), or after
+    max_iters; its final (phi, U) replays to its value.  Returns values,
+    convergence flags, iteration counts, and each start's final phi and U.
     """
-    u_vec = x0 if pin_a else _apply_first(x0, proj_a, dim_vm)
-    w_vec = _apply_first(y0, proj_b, dim_vm)
-    nu, nw = np.linalg.norm(u_vec), np.linalg.norm(w_vec)
-    if nu < 1e-12 or nw < 1e-12:
-        return 0.0
-    u_vec, w_vec = u_vec / nu, w_vec / nw
-    dw = x0.size // dim_v
-    w_op = np.eye(dw, dtype=np.complex128) if w0 is None else w0
-    value = -1.0
-    for _ in range(max_iters):
-        moved = _apply_last(w_vec, w_op, dim_v)
-        new_value = float(abs(np.vdot(u_vec, moved)) ** 2)
-        if new_value <= value + tol:
+    phis = phi0 / _dot_norms(phi0[:, None])[:, 0]
+    us = np.array(u0, dtype=np.complex128)
+    values, converged = np.full(len(phis), -1.0), np.zeros(len(phis), dtype=bool)
+    iterations, live = np.full(len(phis), max_iters), np.arange(len(phis))
+    for it in range(1, max_iters + 1):
+        states = _lift(basis, phis[live], dim_first)
+        projected = _project(lam, states, us[live])
+        norms = _dot_norms(projected)
+        new_value, old = norms[:, 0, 0] ** 2, values[live]
+        values[live] = np.maximum(new_value, old)
+        done = (new_value <= old + tol) | ~(norms[:, 0, 0] > 1e-150)
+        converged[live[done]], iterations[live[done]] = True, it
+        live, states, projected, norms = (x[~done] for x in (live, states, projected, norms))
+        if not len(live) or it == max_iters:
             break
-        value = new_value
-        if not pin_a:
-            u_new = _apply_first(moved, proj_a, dim_vm)
-            norm = np.linalg.norm(u_new)
-            if norm > 1e-150:
-                u_vec = u_new / norm
-        back = _apply_last(u_vec, w_op.conj().T, dim_v)
-        w_new = _apply_first(back, proj_b, dim_vm)
-        norm = np.linalg.norm(w_new)
-        if norm > 1e-150:
-            w_vec = w_new / norm
-        c = (u_vec.reshape(dim_v, dw).conj().T @ w_vec.reshape(dim_v, dw)).T
-        w_op = _polar_align(c)
-    return max(value, 0.0)
+        targets = projected / norms
+        q, r = np.linalg.qr(states.swapaxes(1, 2))
+        aligned = _polar_align(r @ targets.reshape(states.shape).conj())
+        # completing conj(Q) and transposing gives a completion of Q, conjugate-transposed
+        u = us[live] = _complete_unitary(aligned) @ _complete_unitary(q.conj()).swapaxes(1, 2)
+        phi = _pull_back(basis, targets, u)
+        norm = _dot_norms(phi[:, None])[:, 0]
+        grown = norm[:, 0] > 1e-150
+        phis[live[grown]] = phi[grown] / norm[grown]
+    return values, converged, iterations, phis, us
 
 
 def acceptance_tests(base: QipInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -539,47 +505,38 @@ def max_accept_two_ways(
 ) -> tuple[float, float]:
     """Direct prover optimization vs the reduced-state fidelity form.
 
-    Both are see-saw lower bounds of the same maximum acceptance
-    probability.  The fidelity form is seeded from the direct winner (whose
-    prepared state lives in the lifted tails subspace), so the two agree at
-    convergence instead of stalling in different local optima.
+    Both maximize ||Lambda_heads (I (x) U) a||^2 over a in the lifted tails
+    subspace (the prepared states V1 |0_k, psi>) and unitary U, by one
+    see-saw.  The direct route starts from random psi with U = I.  The
+    fidelity form starts from the direct winner's next state with its U,
+    and from the tails projections of random heads-subspace states with
+    U = I, so the two agree at convergence instead of stalling in different
+    local optima.
     """
     if base.k + base.m > DIRECT_OPT_QUBIT_CAP:
         raise ValueError(f"dense optimization capped at {DIRECT_OPT_QUBIT_CAP} qubits")
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"need at least one iteration, got {max_iters}")
+    inst = build_qmam(base)
     k, m = base.k, base.m
-    l = k + m
-    dim_vm = 1 << (k + m)
+    du = 1 << (m + inst.l)
+    tails = inst.u1[:, : 1 << m]  # the first transformation's zero-work inputs
+    heads = inst.lambda_heads()
     rng = np.random.Generator(np.random.Philox(key=seed))
-    du = 1 << (m + l)
-    direct = -1.0
-    best_direct = None
-    for _ in range(max(1, restarts)):
-        psi0 = rng.normal(size=du) + 1j * rng.normal(size=du)
-        val, psi, u, _, _ = _seesaw_direct(base, psi0, tol, max_iters)
-        if val > direct:
-            direct, best_direct = val, (psi, u)
-
-    lam_a, lam_b = acceptance_tests(base)
-    proj_a = _range_projector(lam_a)  # tails side: reachable first messages
-    proj_b = _range_projector(lam_b)
-    dim = 1 << (k + m + l)
-    fidelity_form = -1.0
-    starts = []
-    if best_direct is not None:
-        psi, u = best_direct
-        start = np.zeros(dim, dtype=np.complex128)
-        start.reshape(1 << k, du)[0, :] = psi
-        x0 = _apply_first(start, to_unitary(base.v1), dim_vm)
-        y0 = _apply_last(x0, u, 1 << k)
-        starts.append((x0, y0, u.conj().T))
-    for _ in range(max(1, restarts)):
-        x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        starts.append((x0, y0, None))
-    for x0, y0, w0 in starts:
-        val = _seesaw_overlap(proj_a, proj_b, 1 << k, dim_vm, x0, y0, tol, max_iters, w0=w0)
-        fidelity_form = max(fidelity_form, val)
-    return direct, fidelity_form
+    eye = np.broadcast_to(np.eye(du, dtype=np.complex128), (restarts, du, du))
+    psi0 = np.stack([rng.normal(size=du) + 1j * rng.normal(size=du) for _ in range(restarts)])
+    values, _, _, phis, us = _seesaw_confined(heads, tails, 1 << k, psi0, eye, tol, max_iters)
+    best = int(np.argmax(values))
+    # fidelity-form starts: one state step from the winner, and P_A w for w = P_B (random)
+    ws = [rng.normal(size=du << k) + 1j * rng.normal(size=du << k) for _ in range(restarts)]
+    winner = _lift(tails, phis[best : best + 1], 1 << k)
+    states = np.concatenate([winner, np.reshape(ws, (-1, 1 << k, du))])
+    u0 = np.concatenate([us[best : best + 1], eye])
+    phi0 = _pull_back(tails, _project(heads, states, u0), u0)
+    fidelity_form = _seesaw_confined(heads, tails, 1 << k, phi0, u0, tol, max_iters)[0]
+    return float(values[best]), float(fidelity_form.max())
 
 
 def uhlmann_bound_check(
@@ -589,14 +546,13 @@ def uhlmann_bound_check(
     dim_m: int,
     tol: float = 1e-10,
     max_iters: int = 2000,
-    restarts: int = 8,
-    seed: int = 0,
 ) -> tuple[float, float]:
     """Measured outcome-1 probability vs the reduced-state fidelity bound.
 
-    The bound's see-saw starts from the projected joint purification, whose
-    overlap already equals the measured probability, so the reported bound
-    never undercuts the measurement.
+    The bound's see-saw pins the state to the joint purification j and
+    maximizes ||lambda1 (I (x) U) j||^2 over U on (message, mirror).  Its
+    first value is the measured probability, so the reported bound never
+    undercuts the measurement.
     """
     joint = _check_density(joint, "joint")
     dim = dim_v * dim_m
@@ -604,18 +560,14 @@ def uhlmann_bound_check(
         raise ValueError("joint and projector must act on dim_v * dim_m")
     if dim_v & (dim_v - 1) or dim_m & (dim_m - 1):
         raise ValueError("dims must be powers of two")
+    if max_iters < 1:
+        raise ValueError(f"need at least one iteration, got {max_iters}")
     measured = float(np.real(np.trace(lambda1 @ joint)))
     j_vec = purify(joint)  # on (work+message, mirror)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    starts = [_apply_first(j_vec, lambda1, dim)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim))
-    bound = 0.0
-    for y0 in starts:
-        val = _seesaw_overlap(
-            np.eye(dim), lambda1, dim_v, dim, j_vec, y0, tol, max_iters, pin_a=True
-        )
-        bound = max(bound, val)
+    pinned = np.ones((1, 1), dtype=np.complex128)
+    eye = np.eye(dim_m * dim, dtype=np.complex128)[None]
+    values = _seesaw_confined(lambda1, j_vec[:, None], dim_v, pinned, eye, tol, max_iters)[0]
+    bound = float(values[0])
     if measured > bound + 1e-6:
         raise AssertionError(f"measured {measured} exceeds fidelity bound {bound}")
     return measured, bound

@@ -422,9 +422,7 @@ def test_criterion_09_fidelity_and_uhlmann_fuzz():
         q, _ = np.linalg.qr(g)
         r = 1 + int(rng.integers(0, dim_v))
         lam = np.kron(q[:, :r] @ q[:, :r].conj().T, np.eye(dim_m))
-        measured, bound = uhlmann_bound_check(
-            joint, lam, dim_v, dim_m, restarts=1, max_iters=120, seed=i
-        )
+        measured, bound = uhlmann_bound_check(joint, lam, dim_v, dim_m, max_iters=120)
         worst_over = max(worst_over, measured - bound)
         if measured > bound + 1e-6:
             failures.append(f"joint {i}: measured {measured:.6f} > bound {bound:.6f}")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import qamg.cli as cli
 import qamg.harness as harness
 from qamg.amplification import counting_certificate
 from qamg.circuits import WidthCapError
@@ -406,6 +407,14 @@ class TestCli:
         lines = csv.read_text().splitlines()
         assert lines[0] == ",".join(TABLE_COLUMNS)
         assert len(lines) == 3
+
+    def test_each_call_parses_on_its_own(self, monkeypatch):
+        # the parser is built once; flags from one call must not leak into the next
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.append(args) or 0)
+        for extra in (["--exact", "--reps", "3"], []):
+            assert main(["run", "--instance", "x.json", "--mode", "enumerate", *extra]) == 0
+        assert [(args.exact, args.reps) for args in seen] == [(True, 3), (False, None)]
 
     def test_failed_checks_exit_one(self, tmp_path):
         inst = tmp_path / "lie.json"

@@ -4,7 +4,8 @@ Oracles: dim-2 cheating optima have a closed form (the tested subspaces
 reduce to single pure states), message-spectator gadgets reduce to a small
 eigenvalue problem, product strategies must square the single-shot value
 under two-fold repetition, and every start of the batched reduced-rank
-see-saw must retrace a full-unitary see-saw kept here as the reference.
+see-saws must retrace, or reach the optimum of, full-unitary see-saws kept
+here as references.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from qamg.qmam import (
     translate_honest,
     uhlmann_bound_check,
 )
-from qamg.qmam import _apply_first, _apply_last, _dot_norms, _seesaw_cheat
+from qamg.qmam import _apply_first, _apply_last, _dot_norms, _seesaw_cheat, _seesaw_confined
 from qamg.spectra import eig_hermitian, partial_trace
 
 
@@ -496,7 +497,137 @@ class TestReducedSeesaw:
                                  for _ in range(3)])
 
 
+def _reference_direct(base, psi0, tol, max_iters):
+    """Full-unitary direct see-saw: a du x du polar step by full SVD at every iteration."""
+    k, m = base.k, base.m
+    l = k + m
+    dim_vm = 1 << (k + m)
+    u1 = to_unitary(base.v1)
+    u2 = to_unitary(base.v2)
+    n_tot = k + m + l
+    idx = np.arange(1 << n_tot)
+    pi_mask = (idx >> (n_tot - 1)) & 1 == 1
+    du = 1 << (m + l)
+    psi = psi0 / np.linalg.norm(psi0)
+    u = np.eye(du, dtype=np.complex128)
+    value = -1.0
+    for it in range(1, max_iters + 1):
+        start = np.zeros(1 << n_tot, dtype=np.complex128)
+        start.reshape(1 << k, du)[0, :] = psi
+        w = _apply_first(start, u1, dim_vm)
+        moved = _apply_last(w, u, 1 << k)
+        final = _apply_first(moved, u2, dim_vm)
+        projected = np.where(pi_mask, final, 0.0)
+        new_value = float(np.real(np.vdot(final, projected)))
+        if new_value <= value + tol:
+            return max(new_value, value), psi, u, True, it
+        value = new_value
+        norm_t = np.linalg.norm(projected)
+        if norm_t < 1e-150:
+            return value, psi, u, True, it
+        t = projected / norm_t
+        alpha = _apply_first(t, u2.conj().T, dim_vm)
+        c = (alpha.reshape(1 << k, du).conj().T @ w.reshape(1 << k, du)).T
+        v, _, wh = np.linalg.svd(c)
+        u = (v @ wh).conj().T
+        back = _apply_last(alpha, u.conj().T, 1 << k)
+        back = _apply_first(back, u1.conj().T, dim_vm)
+        block = back.reshape(1 << k, du)[0, :]
+        norm = np.linalg.norm(block)
+        if norm > 1e-150:
+            psi = block / norm
+    return value, psi, u, False, max_iters
+
+
+def _small_bases() -> list:
+    """Small three-message bases on which every see-saw start converges."""
+    return [
+        generate_instance("qip-no", seed=0, k=2, m=1, coins=1),
+        generate_instance("qip-no", seed=0, k=3, m=1, coins=2),
+        generate_instance("qip-perfect", seed=1, k=1, m=1, gates=8),
+        generate_instance("qip-perfect", seed=2, k=2, m=1, gates=8),
+        _random_base(1, 1, seed=31),
+        _random_base(2, 1, seed=32),
+        _random_base(1, 2, seed=33),
+    ]
+
+
+def _direct_kernel_args(base):
+    """(Lambda, basis, dim_first, du) of the direct route: heads test, lifted tails states."""
+    inst = build_qmam(base)
+    return inst.lambda_heads(), inst.u1[:, : 1 << base.m], 1 << base.k, 1 << (base.m + inst.l)
+
+
+def _random_unitaries(rng, count, dim):
+    g = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return np.linalg.qr(g)[0]
+
+
+class TestConfinedSeesaw:
+    @staticmethod
+    def _cases():
+        """(name, Lambda, basis, dim_first, phi0, u0): direct starts and pinned Uhlmann starts."""
+        rng = np.random.Generator(np.random.Philox(key=70))
+        cases, bases = [], _small_bases()
+        for i in (1, 3, 6):
+            lam, basis, dim_first, du = _direct_kernel_args(bases[i])
+            phi0 = rng.normal(size=(4, du)) + 1j * rng.normal(size=(4, du))
+            u0 = np.concatenate([np.broadcast_to(np.eye(du), (3, du, du)),
+                                 _random_unitaries(rng, 1, du)])
+            cases.append((f"direct-{i}", lam, basis, dim_first, phi0, u0))
+        dim_v, dim_m = 2, 4
+        dim = dim_v * dim_m
+        q = _random_unitaries(rng, 1, dim)[0]
+        lam = q[:, :3] @ q[:, :3].conj().T
+        j = purify(_random_density(rng, dim))[:, None]
+        u0 = np.concatenate([np.eye(dim_m * dim)[None], _random_unitaries(rng, 2, dim_m * dim)])
+        cases.append(("pinned", lam, j, dim_v, np.ones((3, 1), dtype=np.complex128), u0))
+        return cases
+
+    def test_starts_run_alone_as_in_the_batch(self):
+        for name, lam, basis, dim_first, phi0, u0 in self._cases():
+            batch = _seesaw_confined(lam, basis, dim_first, phi0, u0, 1e-10, 2000)
+            assert batch[1].all(), name
+            for i in range(len(phi0)):
+                alone = _seesaw_confined(lam, basis, dim_first, phi0[i : i + 1], u0[i : i + 1],
+                                         1e-10, 2000)
+                for got, want in zip(alone, batch):
+                    assert np.array_equal(got[0], want[i]), name
+
+    def test_results_replay_to_their_values(self):
+        for name, lam, basis, dim_first, phi0, u0 in self._cases():
+            values, _, _, phis, us = _seesaw_confined(lam, basis, dim_first, phi0, u0, 1e-10, 2000)
+            rest = phi0.shape[1] // basis.shape[1]
+            full = len(basis) * rest
+            lift = np.kron(basis, np.eye(rest))
+            test = np.kron(lam, np.eye(full // len(lam)))
+            for value, phi, u in zip(values, phis, us):
+                assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12, name
+                assert abs(np.linalg.norm(phi) - 1.0) < 1e-12, name
+                replay = np.linalg.norm(test @ np.kron(np.eye(dim_first), u) @ lift @ phi) ** 2
+                assert abs(replay - value) < 1e-12, name
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_reaches_the_full_unitary_reference(self, index):
+        base = _small_bases()[index]
+        lam, basis, dim_first, du = _direct_kernel_args(base)
+        rng = np.random.Generator(np.random.Philox(key=index))
+        phi0 = rng.normal(size=(4, du)) + 1j * rng.normal(size=(4, du))
+        eye = np.broadcast_to(np.eye(du), (4, du, du))
+        values, converged = _seesaw_confined(lam, basis, dim_first, phi0, eye, 1e-10, 2000)[:2]
+        refs = [_reference_direct(base, psi0, 1e-10, 2000) for psi0 in phi0]
+        assert converged.all() and all(ref[3] for ref in refs)
+        assert abs(values.max() - max(ref[0] for ref in refs)) < 1e-8
+
+
 class TestTwoWays:
+    def test_rejects_bad_counts(self):
+        base = _coin_base(0, 1, 1)
+        for counts, word in (({"restarts": 0}, "restart"), ({"restarts": -4}, "restart"),
+                             ({"max_iters": 0}, "iteration")):
+            with pytest.raises(ValueError, match=word):
+                max_accept_two_ways(base, **counts)
+
     def test_agreement_on_random_bases(self):
         for k, m, seed in ((1, 1, 31), (2, 1, 32), (1, 2, 33)):
             base = _random_base(k, m, seed=seed)
@@ -527,9 +658,15 @@ class TestUhlmannBound:
             q, _ = np.linalg.qr(g)
             rank = int(rng.integers(1, dim))
             lam = q[:, :rank] @ q[:, :rank].conj().T
-            measured, bound = uhlmann_bound_check(joint, lam, dim_v, dim_m, seed=trial)
+            measured, bound = uhlmann_bound_check(joint, lam, dim_v, dim_m)
             assert measured <= bound + 1e-6
             assert bound <= 1.0 + 1e-9
+
+    def test_rejects_bad_counts(self):
+        joint = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="iteration"):
+                uhlmann_bound_check(joint, joint, 2, 2, max_iters=max_iters)
 
     def test_pure_supported_joint_is_tight(self):
         # joint already inside the subspace: measured = 1 forces bound 1
