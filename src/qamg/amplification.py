@@ -25,15 +25,17 @@ from .circuits import (
     apply_circuit,
     dagger,
     exact_unitary,
-    output_qubit_projector,
+    message_rows,
+    output_one_mask,
+    suffix_zero_mask,
     to_unitary,
-    workspace_zero_projector,
 )
 from .exact import ExactScalar, plane_adjoint, plane_matmul, planes_from_scalars
 from .spectra import acceptance_operator, acceptance_operator_exact, accepted_columns_exact
 
 ENUMERATE_EVENT_CAP = 20
 _CERT_EXPONENT_CAP = 100_000
+_FRAME_TOL = 1e-9  # eigenvector residual and distance of p from 0 and 1
 
 Rational = Union[Fraction, int, str, float]
 
@@ -124,7 +126,7 @@ def _embed_witness(witness: StateVector, m: int, k: int) -> StateVector:
     """Witness on m qubits joined with k work qubits in |0..0> (message first)."""
     if witness.n != m:
         raise ValueError(f"witness width {witness.n} != m = {m}")
-    rows = np.arange(1 << m) << k
+    rows = message_rows(m, k)
     if witness.exact:
         planes = np.zeros((4, 1 << (m + k)), dtype=witness.planes.dtype)
         planes[:, rows] = witness.planes
@@ -228,8 +230,8 @@ def run_alternating_measurements(
     threshold = Fraction(n_events) * (inst.a + inst.b) / 2
     forward = inst.verifier
     backward = dagger(inst.verifier)
-    pi_mask = output_qubit_projector(0).outcome_one_mask(inst.verifier.width)
-    delta_mask = workspace_zero_projector(inst.k).outcome_one_mask(inst.verifier.width)
+    pi_mask = output_one_mask(inst.verifier.width)
+    delta_mask = suffix_zero_mask(inst.verifier.width, inst.k)
 
     if mode == "sample":
         if draws < 1:
@@ -559,9 +561,9 @@ def mixed_state_acceptance(inst: QmaInstance, exact: bool = False):
     dim = 1 << inst.m
     width = inst.verifier.width
     block = apply_circuit(
-        StateVector.columns(width, [j << inst.k for j in range(dim)], exact), inst.verifier
+        StateVector.columns(width, message_rows(inst.m, inst.k), exact), inst.verifier
     )
-    accepted = block.project(output_qubit_projector(0).outcome_one_mask(width)).norms_sq()
+    accepted = block.project(output_one_mask(width)).norms_sq()
     if exact:
         q, e = planes_from_scalars(inst.q_operator_exact())
         trace_route = Fraction(_diagonal_sum(q), 1 << e) / dim
@@ -614,23 +616,23 @@ class TransitionFrame:
         }
 
 
-def transition_frame(inst: QmaInstance, witness: np.ndarray, atol: float = 1e-9) -> TransitionFrame:
+def transition_frame(inst: QmaInstance, witness: np.ndarray) -> TransitionFrame:
     """Build the measurement-cycle frame for an eigenvector witness."""
     q = inst.q_operator()
     witness = np.asarray(witness, dtype=np.complex128)
     witness = witness / np.linalg.norm(witness)
     image = q @ witness
     p = float(np.real(np.vdot(witness, image)))
-    if np.linalg.norm(image - p * witness) > atol:
+    if np.linalg.norm(image - p * witness) > _FRAME_TOL:
         raise ValueError("witness is not an eigenvector of the acceptance operator")
-    if not atol < p < 1.0 - atol:
+    if not _FRAME_TOL < p < 1.0 - _FRAME_TOL:
         raise ValueError(f"need interior eigenvalue, got p = {p}")
     n = inst.verifier.width
-    pi_mask = output_qubit_projector(0).outcome_one_mask(n)
-    delta_mask = workspace_zero_projector(inst.k).outcome_one_mask(n)
+    pi_mask = output_one_mask(n)
+    delta_mask = suffix_zero_mask(n, inst.k)
     u = inst.unitary
     phi = np.zeros(1 << n, dtype=np.complex128)
-    phi[np.arange(1 << inst.m) << inst.k] = witness
+    phi[message_rows(inst.m, inst.k)] = witness
     a_phi = u @ phi
     gamma0 = np.where(pi_mask, 0.0, a_phi) / math.sqrt(1.0 - p)
     gamma1 = np.where(pi_mask, a_phi, 0.0) / math.sqrt(p)

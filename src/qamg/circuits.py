@@ -1,11 +1,18 @@
 """Circuits over the {Toffoli, Hadamard, i-shift} gate set and their statevectors.
 
-Qubit 0 is the leftmost / most significant bit of a basis index.  One kernel
-simulates every circuit: a `StateVector` holds one state or a (2^n, B) block
-of B columns, and each gate acts in place on all columns through reshaped
-views.  Hadamard and the i-shift act on a (2^q, 2, 2^(n-1-q), B) view, and
-Toffoli swaps two slices of a (2,)*n + (B,) view.  Operators, unitaries and
-the live branches of a trajectory tree are each simulated as one block.
+Qubit 0 is the leftmost / most significant bit of a basis index.  This module
+is the one home of the verifier register convention: message j on m qubits
+enters at basis index j << k (`message_rows`), on top of a k-qubit workspace
+in |0^k>; qubit 0 is the output qubit (`output_one_mask`, the projector Pi);
+the workspace is the last k qubits (`suffix_zero_mask`, the projector Delta),
+or the first k in a three-message verifier (`prefix_zero_mask`).
+
+One kernel simulates every circuit: a `StateVector` holds one state or a
+(2^n, B) block of B columns, and each gate acts in place on all columns
+through reshaped views.  Hadamard and the i-shift act on a
+(2^q, 2, 2^(n-1-q), B) view, and Toffoli swaps two slices of a (2,)*n + (B,)
+view.  Operators, unitaries and the live branches of a trajectory tree are
+each simulated as one block.
 
 Float blocks are complex128.  Exact blocks hold Gaussian-integer coefficient
 planes for 1 and sqrt(2) with a single shared power-of-two exponent, so gate
@@ -21,7 +28,7 @@ proves every partial sum an integer below 2^53, so exact in any order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,7 +109,6 @@ def toffoli(c1: int, c2: int, t: int) -> Gate:
 class Circuit:
     width: int
     gates: tuple[Gate, ...]
-    layout: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -110,8 +116,6 @@ class Circuit:
         for g in self.gates:
             if max(g.qubits) >= self.width:
                 raise ValueError(f"gate {g} out of range for width {self.width}")
-        if self.layout is not None and sum(self.layout) != self.width:
-            raise ValueError(f"layout {self.layout} does not sum to width {self.width}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -120,8 +124,8 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == "H")
 
 
-def circuit(width: int, gates: Iterable[Gate] = (), layout: tuple[int, ...] | None = None) -> Circuit:
-    return Circuit(width, tuple(gates), layout)
+def circuit(width: int, gates: Iterable[Gate] = ()) -> Circuit:
+    return Circuit(width, tuple(gates))
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -175,7 +179,7 @@ def dagger(c: Circuit) -> Circuit:
             inv.extend([g, g, g])
         else:
             inv.append(g)
-    return Circuit(c.width, tuple(inv), c.layout)
+    return Circuit(c.width, tuple(inv))
 
 
 # --- library-level macros (gate lists, ancilla-free conjugations) ---
@@ -184,10 +188,6 @@ def dagger(c: Circuit) -> Circuit:
 def x_gates(q: int) -> list[Gate]:
     """X = H S S H (H Z H with Z = S^2)."""
     return [hadamard(q), ishift(q), ishift(q), hadamard(q)]
-
-
-def z_gates(q: int) -> list[Gate]:
-    return [ishift(q), ishift(q)]
 
 
 def cnot_gates(control: int, target: int, borrow: int) -> list[Gate]:
@@ -238,47 +238,33 @@ def multi_controlled_x_gates(
     return step + step
 
 
-# --- projector specs ---
+# --- the verifier register convention ---
 
 
-@dataclass(frozen=True)
-class ProjectorSpec:
-    """Binary projective measurement; `kind` fixes which outcome counts as 1."""
-
-    kind: str
-    param: int
-
-    def outcome_one_mask(self, n: int) -> np.ndarray:
-        idx = np.arange(1 << n)
-        if self.kind == "qubit_one":
-            if not 0 <= self.param < n:
-                raise ValueError(f"qubit {self.param} out of range for width {n}")
-            return (idx >> (n - 1 - self.param)) & 1 == 1
-        # zero-length windows are trivially restored: outcome is always 1
-        if self.kind == "suffix_zero":
-            if not 0 <= self.param <= n:
-                raise ValueError(f"suffix length {self.param} out of range for width {n}")
-            return idx & ((1 << self.param) - 1) == 0
-        if self.kind == "prefix_zero":
-            if not 0 <= self.param <= n:
-                raise ValueError(f"prefix length {self.param} out of range for width {n}")
-            return idx >> (n - self.param) == 0
-        raise ValueError(f"unknown projector kind {self.kind!r}")
+def message_rows(m: int, k: int) -> np.ndarray:
+    """Basis indices of |j>|0^k> for every message j on m qubits: row j << k."""
+    return np.arange(1 << m) << k
 
 
-def output_qubit_projector(q: int = 0) -> ProjectorSpec:
-    """Outcome 1 iff qubit q reads 1 (the decision-qubit measurement)."""
-    return ProjectorSpec("qubit_one", q)
+def output_one_mask(n: int, q: int = 0) -> np.ndarray:
+    """Outcome 1 iff qubit q reads 1 (qubit 0 is the verifier's output)."""
+    if not 0 <= q < n:
+        raise ValueError(f"qubit {q} out of range for width {n}")
+    return (np.arange(1 << n) >> (n - 1 - q)) & 1 == 1
 
 
-def workspace_zero_projector(k: int) -> ProjectorSpec:
-    """Outcome 1 iff the last k qubits all read 0 (workspace restored)."""
-    return ProjectorSpec("suffix_zero", k)
+def suffix_zero_mask(n: int, k: int) -> np.ndarray:
+    """Outcome 1 iff the last k qubits all read 0 (the workspace restored); k = 0 always passes."""
+    if not 0 <= k <= n:
+        raise ValueError(f"suffix length {k} out of range for width {n}")
+    return np.arange(1 << n) & ((1 << k) - 1) == 0
 
 
-def prefix_zero_projector(k: int) -> ProjectorSpec:
-    """Outcome 1 iff the first k qubits all read 0 (verifier-first layouts)."""
-    return ProjectorSpec("prefix_zero", k)
+def prefix_zero_mask(n: int, k: int) -> np.ndarray:
+    """Outcome 1 iff the first k qubits all read 0 (a three-message verifier's workspace)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"prefix length {k} out of range for width {n}")
+    return np.arange(1 << n) >> (n - k) == 0
 
 
 # --- statevectors ---
@@ -552,14 +538,13 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     return apply_gates(state, c.gates)
 
 
-def measure_projector(state: StateVector, spec: ProjectorSpec):
-    """Measure {outcome 0, outcome 1}; returns (prob_one, post_0, post_1).
+def measure_projector(state: StateVector, mask: np.ndarray):
+    """Measure {~mask, mask} (outcomes 0 and 1); returns (prob_one, post_0, post_1).
 
     Exact mode returns unnormalized branch states (their squared norms are the
     branch probabilities).  Float mode renormalizes and returns None for a
     zero-probability branch.
     """
-    mask = spec.outcome_one_mask(state.n)
     one = state.project(mask)
     zero = state.project(~mask)
     if state.exact:

@@ -349,12 +349,8 @@ def _generate_qam_bounded(s: int, m: int, k: int, error) -> QamInstance:
     if miss_quarters < 1:
         raise ValueError(f"error budget {error} too small to realize with two coins")
     perfect = circuit(m + k, [*x_gates(0)])
-    coins = list(range(m, m + 2))
-    lossy_gates = [hadamard(q) for q in coins]
-    for pattern in range(miss_quarters):
-        lossy_gates += _coin_pattern_gates(coins, pattern, 0, borrow=m + 2)
-    lossy_gates += x_gates(0)
-    lossy = circuit(m + k, lossy_gates)
+    miss = _dyadic_hit_circuit(m + k, [m, m + 1], miss_quarters, borrow=m + 2)
+    lossy = circuit(m + k, [*miss.gates, *x_gates(0)])
     family = {y: perfect for y in coin_strings(s)}
     family["0" * s] = lossy
     return QamInstance(s=s, family=family, m=m, k=k, a=Fraction(2, 3), b=Fraction(1, 3))

@@ -23,30 +23,31 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .amplification import as_fraction
-from .circuits import Circuit, to_unitary
+from .circuits import Circuit, output_one_mask, prefix_zero_mask, to_unitary
 from .spectra import eig_hermitian
 
 DIRECT_OPT_QUBIT_CAP = 6
+_DENSITY_TOL = 1e-8
 
 
 # --- fidelity ---
 
 
-def _check_density(rho: np.ndarray, name: str, atol: float = 1e-8) -> np.ndarray:
+def _check_density(rho: np.ndarray, name: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be square, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > atol:
+    if np.abs(rho - rho.conj().T).max() > _DENSITY_TOL:
         raise ValueError(f"{name} is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise ValueError(f"{name} has trace {np.trace(rho)}, expected 1")
     return rho
 
 
-def _sqrt_psd(mat: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
     decomp = eig_hermitian(mat)
     vals = decomp.eigenvalues
-    if vals.size and vals[-1] < -atol:
+    if vals.size and vals[-1] < -_DENSITY_TOL:
         raise ValueError(f"matrix has negative eigenvalue {vals[-1]}")
     roots = np.sqrt(np.clip(vals, 0.0, None))
     return (decomp.vectors * roots) @ decomp.vectors.conj().T
@@ -159,9 +160,14 @@ class QmamInstance:
     """One-coin game built on a three-message verifier; m1 = k, m2 = m."""
 
     base: QipInstance
-    m1: int
-    m2: int
-    s: int = 1
+
+    @property
+    def m1(self) -> int:
+        return self.base.k
+
+    @property
+    def m2(self) -> int:
+        return self.base.m
 
     @property
     def l(self) -> int:
@@ -184,22 +190,17 @@ class QmamInstance:
 
     def lambda_tails(self) -> np.ndarray:
         """Test operator for tails: undo the first transformation, check zeros."""
-        u1 = self.u1
-        idx = np.arange(u1.shape[0])
-        delta = (idx >> self.base.m == 0).astype(np.complex128)
-        return (u1 * delta) @ u1.conj().T
+        delta = prefix_zero_mask(self.base.v1.width, self.base.k).astype(np.complex128)
+        return (self.u1 * delta) @ self.u1.conj().T
 
     def lambda_heads(self) -> np.ndarray:
         """Test operator for heads: finish the verification, check the output."""
-        u2 = self.u2
-        n = self.base.k + self.base.m
-        idx = np.arange(u2.shape[0])
-        pi = ((idx >> (n - 1)) & 1 == 1).astype(np.complex128)
-        return (u2.conj().T * pi) @ u2
+        pi = output_one_mask(self.base.v2.width).astype(np.complex128)
+        return (self.u2.conj().T * pi) @ self.u2
 
 
 def build_qmam(base: QipInstance) -> QmamInstance:
-    return QmamInstance(base=base, m1=base.k, m2=base.m)
+    return QmamInstance(base=base)
 
 
 @dataclass(frozen=True)
@@ -370,6 +371,8 @@ def optimize_cheating(
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"need at least one iteration, got {max_iters}")
     game = cheat_game(target) if isinstance(target, QmamInstance) else target
     dim = 1 << game.total_qubits
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -582,7 +585,7 @@ def repeated_cheat_game(inst: QmamInstance, copies: int) -> CheatGame:
         raise ValueError("need at least one copy")
     k, m = inst.m1, inst.m2
     perm = _interleave_blocks_perm(copies, [k, m])
-    single = {"0": inst.lambda_tails(), "1": inst.lambda_heads()}
+    single = cheat_game(inst).lambdas
     lambdas = {}
     for joint in range(1 << copies):
         coin = format(joint, f"0{copies}b")

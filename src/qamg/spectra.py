@@ -13,13 +13,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .circuits import Circuit, StateVector, apply_circuit, output_qubit_projector
+from .circuits import Circuit, StateVector, apply_circuit, message_rows, output_one_mask
 from .exact import ExactScalar
 
 _EIG_DIM_CAP = 1 << 14
-
-MESSAGE_FIRST = "message_first"
-WORK_FIRST = "work_first"
+_CLAMP_TOL = 1e-9  # how far outside [0, 1] an acceptance eigenvalue may round
+_DENSITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,68 +58,49 @@ def eig_hermitian(matrix: Union[np.ndarray, Sequence[Sequence[complex]]]) -> Spe
     return SpectralDecomposition(values[..., ::-1].copy(), vectors[..., ::-1].copy())
 
 
-def _message_basis_index(j: int, m: int, k: int, layout: str) -> int:
-    if layout == MESSAGE_FIRST:
-        return j << k
-    if layout == WORK_FIRST:
-        return j
-    raise ValueError(f"unknown layout {layout!r}")
-
-
-def _message_columns(
-    verifier: Circuit, m: int, k: int, layout: str, outcome: int, exact: bool
-) -> StateVector:
+def _message_columns(verifier: Circuit, m: int, k: int, outcome: int, exact: bool) -> StateVector:
     """The verifier applied to every message basis state as one block, projected on the outcome."""
     _check_arities(verifier, m, k)
-    indices = [_message_basis_index(j, m, k, layout) for j in range(1 << m)]
-    block = apply_circuit(StateVector.columns(verifier.width, indices, exact), verifier)
-    mask = output_qubit_projector(0).outcome_one_mask(verifier.width)
+    block = apply_circuit(StateVector.columns(verifier.width, message_rows(m, k), exact), verifier)
+    mask = output_one_mask(verifier.width)
     return block.project(mask if outcome == 1 else ~mask)
 
 
-def _gram_operator(verifier: Circuit, m: int, k: int, layout: str, outcome: int) -> np.ndarray:
-    cols = _message_columns(verifier, m, k, layout, outcome, exact=False).vec
+def _gram_operator(verifier: Circuit, m: int, k: int, outcome: int) -> np.ndarray:
+    cols = _message_columns(verifier, m, k, outcome, exact=False).vec
     q = cols.conj().T @ cols
     return 0.5 * (q + q.conj().T)
 
 
 def _gram_operator_exact(
-    verifier: Circuit, m: int, k: int, layout: str, outcome: int
+    verifier: Circuit, m: int, k: int, outcome: int
 ) -> list[list[ExactScalar]]:
-    return _message_columns(verifier, m, k, layout, outcome, exact=True).gram()
+    return _message_columns(verifier, m, k, outcome, exact=True).gram()
 
 
 def accepted_columns_exact(verifier: Circuit, m: int, k: int) -> StateVector:
     """The exact block whose Gram matrix is the acceptance operator: the
     verifier on every message basis state, projected on acceptance."""
-    return _message_columns(verifier, m, k, MESSAGE_FIRST, 1, exact=True)
+    return _message_columns(verifier, m, k, 1, exact=True)
 
 
-def acceptance_operator(
-    verifier: Circuit, m: int, k: int, layout: str = MESSAGE_FIRST
-) -> np.ndarray:
+def acceptance_operator(verifier: Circuit, m: int, k: int) -> np.ndarray:
     """Float acceptance operator on the 2^m message space."""
-    return _gram_operator(verifier, m, k, layout, 1)
+    return _gram_operator(verifier, m, k, 1)
 
 
-def acceptance_operator_exact(
-    verifier: Circuit, m: int, k: int, layout: str = MESSAGE_FIRST
-) -> list[list[ExactScalar]]:
+def acceptance_operator_exact(verifier: Circuit, m: int, k: int) -> list[list[ExactScalar]]:
     """Exact acceptance operator; entry [i][j] is <col_i, col_j>."""
-    return _gram_operator_exact(verifier, m, k, layout, 1)
+    return _gram_operator_exact(verifier, m, k, 1)
 
 
-def rejection_operator(
-    verifier: Circuit, m: int, k: int, layout: str = MESSAGE_FIRST
-) -> np.ndarray:
+def rejection_operator(verifier: Circuit, m: int, k: int) -> np.ndarray:
     """Complementary operator; acceptance + rejection = identity."""
-    return _gram_operator(verifier, m, k, layout, 0)
+    return _gram_operator(verifier, m, k, 0)
 
 
-def rejection_operator_exact(
-    verifier: Circuit, m: int, k: int, layout: str = MESSAGE_FIRST
-) -> list[list[ExactScalar]]:
-    return _gram_operator_exact(verifier, m, k, layout, 0)
+def rejection_operator_exact(verifier: Circuit, m: int, k: int) -> list[list[ExactScalar]]:
+    return _gram_operator_exact(verifier, m, k, 0)
 
 
 def _check_arities(verifier: Circuit, m: int, k: int) -> None:
@@ -130,20 +110,20 @@ def _check_arities(verifier: Circuit, m: int, k: int) -> None:
         )
 
 
-def max_acceptance(q: np.ndarray, clamp_tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def max_acceptance(q: np.ndarray) -> tuple[float, np.ndarray]:
     """Top acceptance probability and an optimal witness for an acceptance operator."""
     decomp = eig_hermitian(q)
     p1 = float(decomp.eigenvalues[0])
-    if p1 < -clamp_tol or p1 > 1.0 + clamp_tol:
+    if p1 < -_CLAMP_TOL or p1 > 1.0 + _CLAMP_TOL:
         raise ValueError(f"top eigenvalue {p1} outside [0,1] beyond tolerance")
     return min(1.0, max(0.0, p1)), decomp.vectors[:, 0].copy()
 
 
-def acceptance_spectrum(q: np.ndarray, clamp_tol: float = 1e-9) -> SpectralDecomposition:
+def acceptance_spectrum(q: np.ndarray) -> SpectralDecomposition:
     """Full spectrum of an acceptance operator, eigenvalues clamped to [0,1]."""
     decomp = eig_hermitian(q)
     vals = decomp.eigenvalues
-    if vals.size and (vals[-1] < -clamp_tol or vals[0] > 1.0 + clamp_tol):
+    if vals.size and (vals[-1] < -_CLAMP_TOL or vals[0] > 1.0 + _CLAMP_TOL):
         raise ValueError(f"eigenvalues {vals} outside [0,1] beyond tolerance")
     return SpectralDecomposition(np.clip(vals, 0.0, 1.0), decomp.vectors)
 
@@ -176,14 +156,14 @@ def partial_trace(
     return rho.reshape(kept_dim, kept_dim)
 
 
-def assert_density(rho: np.ndarray, atol: float = 1e-9) -> None:
+def assert_density(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace, and positive semidefiniteness."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if float(np.abs(rho - rho.conj().T).max(initial=0.0)) > atol:
+    if float(np.abs(rho - rho.conj().T).max(initial=0.0)) > _DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(float(np.trace(rho).real) - 1.0) > atol:
+    if abs(float(np.trace(rho).real) - 1.0) > _DENSITY_TOL:
         raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
     vals = eig_hermitian(rho).eigenvalues
-    if vals.size and vals[-1] < -atol:
+    if vals.size and vals[-1] < -_DENSITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {vals[-1]}")

@@ -36,7 +36,7 @@ from qamg.circuits import (
     hadamard,
     ishift,
     measure_projector,
-    output_qubit_projector,
+    output_one_mask,
     swap_gates,
     to_unitary,
     toffoli,
@@ -262,7 +262,7 @@ def test_criterion_05_mixed_witness_reduction():
         for j in range(1 << inst.m):
             st = StateVector.basis(inst.verifier.width, j << inst.k)
             st = apply_circuit(st, inst.verifier)
-            prob_one, _, _ = measure_projector(st, output_qubit_projector(0))
+            prob_one, _, _ = measure_projector(st, output_one_mask(st.n))
             avg += prob_one
         avg /= 1 << inst.m
         for gap in (abs(value - trace_route), abs(value - avg)):

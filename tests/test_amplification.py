@@ -24,11 +24,11 @@ from qamg.circuits import (
     hadamard,
     ishift,
     measure_projector,
-    output_qubit_projector,
+    output_one_mask,
+    suffix_zero_mask,
     swap_gates,
     to_unitary,
     toffoli,
-    workspace_zero_projector,
     x_gates,
 )
 import qamg.amplification as amplification
@@ -64,10 +64,7 @@ def _one_branch_enumerate(inst: QmaInstance, witness: list, n_events: int) -> di
     amps = [ZERO] * (1 << n)
     for j, a in enumerate(witness):
         amps[j << inst.k] = a
-    masks = (
-        workspace_zero_projector(inst.k).outcome_one_mask(n),
-        output_qubit_projector(0).outcome_one_mask(n),
-    )
+    masks = (suffix_zero_mask(n, inst.k), output_one_mask(n))
     branches = [((), 1, StateVector.from_amplitudes(amps, exact=True))]
     for i in range(1, n_events + 1):
         circ = inst.verifier if i % 2 else dagger(inst.verifier)
@@ -85,10 +82,7 @@ def _one_branch_enumerate(inst: QmaInstance, witness: list, n_events: int) -> di
 def _gate_path_enumerate(inst: QmaInstance, witness: StateVector, n_events: int) -> dict:
     """The block enumerator replaying the verifier's gates, and its dagger's, at every event."""
     n = inst.verifier.width
-    masks = (
-        workspace_zero_projector(inst.k).outcome_one_mask(n),
-        output_qubit_projector(0).outcome_one_mask(n),
-    )
+    masks = (suffix_zero_mask(n, inst.k), output_one_mask(n))
     state = _embed_witness(witness, inst.m, inst.k)
     z = np.zeros((1, 0), dtype=np.int8)
     y_prev = np.ones(1, dtype=np.int8)
@@ -108,11 +102,12 @@ def _one_trajectory_reference(
     """One seeded float trajectory, simulated as its own single state."""
     state = _embed_witness(witness.to_float() if witness.exact else witness, inst.m, inst.k)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    n = inst.verifier.width
     y_prev, z = 1, []
     for i in range(1, n_events + 1):
         state = apply_circuit(state, inst.verifier if i % 2 == 1 else dagger(inst.verifier))
-        spec = output_qubit_projector(0) if i % 2 == 1 else workspace_zero_projector(inst.k)
-        prob_one, post0, post1 = measure_projector(state, spec)
+        mask = output_one_mask(n) if i % 2 == 1 else suffix_zero_mask(n, inst.k)
+        prob_one, post0, post1 = measure_projector(state, mask)
         y = 1 if rng.random() < prob_one else 0
         state = post1 if y == 1 else post0
         z.append(1 if y == y_prev else 0)

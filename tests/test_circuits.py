@@ -21,16 +21,17 @@ from qamg.circuits import (
     hadamard,
     ishift,
     measure_projector,
+    message_rows,
     multi_controlled_x_gates,
-    output_qubit_projector,
+    output_one_mask,
     parse_circuit,
-    prefix_zero_projector,
+    prefix_zero_mask,
     serialize_circuit,
+    suffix_zero_mask,
     swap_gates,
     toffoli,
     to_unitary,
     to_exact_columns,
-    workspace_zero_projector,
     x_gates,
 )
 from qamg.exact import HALF, I_UNIT, INV_SQRT2, ONE, ZERO, ExactScalar
@@ -88,8 +89,6 @@ def test_gate_validation():
         Gate("Q", (0,))
     with pytest.raises(ValueError):
         Circuit(2, (hadamard(3),))
-    with pytest.raises(ValueError):
-        Circuit(3, (), layout=(1, 1))
 
 
 def test_hadamard_on_zero():
@@ -139,7 +138,7 @@ def test_dagger_of_ishift_is_three_ishifts():
 
 def test_measure_output_qubit_exact():
     st = apply_gates(StateVector.basis(1, 0, exact=True), [hadamard(0)])
-    prob_one, post0, post1 = measure_projector(st, output_qubit_projector())
+    prob_one, post0, post1 = measure_projector(st, output_one_mask(1))
     assert prob_one == HALF
     assert post0.norm_sq() == HALF and post1.norm_sq() == HALF
     assert post1.amplitude(0) == ZERO
@@ -151,19 +150,42 @@ def test_measure_workspace_zero():
     amps[0b000] = ExactScalar(0, 0, 1, 0, 1)
     amps[0b100] = ExactScalar(0, 0, 1, 0, 1)
     st = StateVector.from_amplitudes(amps, exact=True)
-    prob_one, post0, post1 = measure_projector(st, workspace_zero_projector(2))
+    prob_one, post0, post1 = measure_projector(st, suffix_zero_mask(3, 2))
     assert prob_one == ONE
     assert post0.norm_sq() == ZERO
 
 
 def test_measure_float_renormalizes_and_flags_dead_branch():
     st = StateVector.basis(2, 0b00)
-    prob_one, post0, post1 = measure_projector(st, output_qubit_projector())
+    prob_one, post0, post1 = measure_projector(st, output_one_mask(2))
     assert prob_one == 0.0 and post1 is None
     assert np.allclose(post0.vec, st.vec)
-    prob_pref, _, post_pref1 = measure_projector(st, prefix_zero_projector(1))
+    prob_pref, _, post_pref1 = measure_projector(st, prefix_zero_mask(2, 1))
     assert prob_pref == 1.0
     assert np.allclose(post_pref1.vec, st.vec)
+
+
+def test_register_convention_against_bit_strings():
+    for n in range(1, 6):
+        bits = [format(i, f"0{n}b") for i in range(1 << n)]
+        for q in range(n):
+            assert output_one_mask(n, q).tolist() == [b[q] == "1" for b in bits]
+        for k in range(n + 1):
+            assert suffix_zero_mask(n, k).tolist() == [b[n - k:] == "0" * k for b in bits]
+            assert prefix_zero_mask(n, k).tolist() == [b[:k] == "0" * k for b in bits]
+            # message j is the top n - k bits over a zero workspace
+            rows = [i for i, b in enumerate(bits) if b[n - k:] == "0" * k]
+            assert message_rows(n - k, k).tolist() == rows
+
+
+def test_register_masks_reject_out_of_range():
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            output_one_mask(3, bad)
+    for mask in (suffix_zero_mask, prefix_zero_mask):
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                mask(3, bad)
 
 
 def test_x_macro_unitary():
@@ -340,7 +362,7 @@ def test_object_dtype_gram_matches_scalar_reference():
     # 64 Hadamards between Toffolis grow the plane entries past 30 bits, so the
     # Gram guard 2*bits + n + 3 <= 63 fails and the products run on Python ints
     c = circuit(3, [toffoli(1, 2, 0), hadamard(2), toffoli(0, 2, 1), hadamard(2)] * 32)
-    mask = output_qubit_projector(0).outcome_one_mask(3)
+    mask = output_one_mask(3)
     block = apply_circuit(StateVector.columns(3, [0, 4], exact=True), c).project(mask)
     bits = max(abs(int(v)) for v in block.planes.ravel()).bit_length()
     assert 2 * bits + 3 + 3 > 63

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import os
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -554,3 +558,18 @@ class TestCli:
         csv = tmp_path / "empty.csv"
         assert main(["table", "--in", str(tmp_path), "--out", str(csv)]) == 0
         assert csv.read_text() == "N_or_t,message_qubits,error\n"
+
+
+class TestBenchmarkTracer:
+    def test_every_traced_name_resolves(self, monkeypatch):
+        # the benchmark's tracer patches these names by lookup, so a rename in
+        # qamg would stop its traced runs; it is loaded by path, read only
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for target in tracer.TARGETS:
+            module = importlib.import_module(target.module)
+            assert callable(getattr(module, target.attr, None)), (target.module, target.attr)

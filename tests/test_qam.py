@@ -21,7 +21,7 @@ from qamg.circuits import (
     hadamard,
     ishift,
     measure_projector,
-    output_qubit_projector,
+    output_one_mask,
     swap_gates,
     toffoli,
     x_gates,
@@ -165,7 +165,7 @@ class TestQamValue:
             vec[np.arange(2) << 2] = strategy[y]
             state = StateVector.from_amplitudes(vec)
             state = apply_circuit(state, inst.family[y])
-            prob_one, _, _ = measure_projector(state, output_qubit_projector(0))
+            prob_one, _, _ = measure_projector(state, output_one_mask(3))
             want += prob_one
         want /= 2
         assert abs(got - want) <= 1e-12

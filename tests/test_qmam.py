@@ -219,7 +219,7 @@ class TestInstances:
     def test_build_dimensions(self):
         base = _tight_half_base()
         inst = build_qmam(base)
-        assert (inst.m1, inst.m2, inst.l, inst.s) == (1, 1, 2, 1)
+        assert (inst.m1, inst.m2, inst.l) == (1, 1, 2)
         game = cheat_game(inst)
         assert game.total_qubits == 4
         assert game.coins() == ["0", "1"]
@@ -385,6 +385,9 @@ class TestCheating:
         for restarts in (0, -4):
             with pytest.raises(ValueError, match="restart"):
                 optimize_cheating(inst, restarts=restarts)
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="iteration"):
+                optimize_cheating(inst, max_iters=max_iters, restarts=2)
 
 
 def _reference_seesaw(game, psi0, u0, tol, max_iters):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qamg.circuits import circuit, hadamard, ishift, toffoli
+from qamg.circuits import circuit, hadamard, ishift, to_unitary, toffoli
 from qamg.spectra import (
     acceptance_operator,
     acceptance_operator_exact,
@@ -180,11 +180,16 @@ class TestAcceptanceOperator:
         assert np.linalg.norm(probe - witness) <= 1e-10
 
     def test_layouts_differ_for_lopsided_circuit(self):
+        # the message sits on qubit 0, above the workspace; a work-first
+        # embedding (message on qubit 1) would give 0.5 * I instead
         c = circuit(2, [hadamard(0)])
-        q_msg = acceptance_operator(c, m=1, k=1, layout="message_first")
-        q_work = acceptance_operator(c, m=1, k=1, layout="work_first")
+        q_msg = acceptance_operator(c, m=1, k=1)
         assert np.abs(q_msg - np.array([[0.5, -0.5], [-0.5, 0.5]])).max() <= 1e-12
+        u = to_unitary(c)
+        accepted = u[[2, 3], :]  # rows where qubit 0 reads 1
+        q_work = accepted[:, [0, 1]].conj().T @ accepted[:, [0, 1]]
         assert np.abs(q_work - 0.5 * np.eye(2)).max() <= 1e-12
+        assert np.abs(q_msg - q_work).max() >= 0.5 - 1e-12
 
     def test_exact_matches_float(self):
         rng = np.random.default_rng(23)
@@ -214,8 +219,6 @@ class TestAcceptanceOperator:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arities"):
             acceptance_operator(circuit(3), m=1, k=1)
-        with pytest.raises(ValueError, match="layout"):
-            acceptance_operator(circuit(2), m=1, k=1, layout="sideways")
 
     def test_random_witness_sampling_never_beats_optimum(self):
         rng = np.random.default_rng(17)
