@@ -40,7 +40,7 @@ for i, (protocol, kind, params, mode, extra) in enumerate(specs):
         out=str(work / f"report_{kind}.json"), **extra,
     ))
 
-# %% Run them concurrently; results come back in input order.
+# %% Run them one after another; results come back in input order.
 reports = run_batch(configs)
 for (_, kind, *_), rep in zip(specs, reports):
     status = "ok" if rep["passed"] else "FAILED"

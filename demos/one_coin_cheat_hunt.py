@@ -22,7 +22,6 @@ import time
 from fractions import Fraction
 
 from qamg import (
-    build_qmam,
     generate_instance,
     honest_value,
     max_accept_two_ways,
@@ -34,9 +33,8 @@ from qamg.qmam import QipInstance, product_strategy, repeated_cheat_game, repeat
 
 # %% Honest play on a perfect-completeness instance wins with certainty.
 base = generate_instance("qip-perfect", seed=4, k=2, m=1)
-inst = build_qmam(base)
 print("perfect base (k = %d, m = %d): honest one-coin value = %.12f"
-      % (base.k, base.m, honest_value(inst)))
+      % (base.k, base.m, honest_value(base)))
 
 # %% No instances: gadgets with soundness error exactly 2^-coins.  The
 # see-saw should reach, and never pass, 1/2 + sqrt(eps)/2.
@@ -44,10 +42,9 @@ print()
 print(" eps     bound 1/2+sqrt(eps)/2   see-saw value    gap          time")
 for coins, k in ((0, 1), (2, 3), (4, 5)):
     gadget = generate_instance("qip-no", seed=0, coins=coins, k=k, m=1)
-    one_coin = build_qmam(gadget)
     bound = soundness_bound(gadget)
     t0 = time.perf_counter()
-    result = optimize_cheating(one_coin, restarts=10, seed=2)
+    result = optimize_cheating(gadget, restarts=10, seed=2)
     dt = time.perf_counter() - t0
     eps = Fraction(1, 1 << coins) if coins else Fraction(0)
     print(" %-6s  %.12f        %.12f   %+.2e   %4.1fs"
@@ -69,12 +66,11 @@ print("two routes to max acceptance: direct = %.12f, fidelity = %.12f"
 half = QipInstance(
     v1=circuit(2), v2=circuit(2, [hadamard(0)]), k=1, m=1, epsilon=Fraction(1, 2),
 )
-one = build_qmam(half)
-single = optimize_cheating(one, restarts=8)
+single = optimize_cheating(half, restarts=8)
 doubled = optimize_cheating(
-    repeated_cheat_game(one, 2),
+    repeated_cheat_game(half, 2),
     restarts=6,
-    seeds=[product_strategy(one, single.strategy, 2)],
+    seeds=[product_strategy(half, single.strategy, 2)],
     max_iters=400,
     seed=1,
 )
@@ -83,4 +79,4 @@ print("single-round optimum   = %.9f (bound %.9f)" % (single.value, soundness_bo
 print("two-round optimum      = %.9f" % doubled.value)
 print("square of single round = %.9f" % single.value**2)
 assert abs(doubled.value - single.value**2) < 1e-3
-print("honest two-round value on the perfect base = %.12f" % repeated_honest_value(inst, 2))
+print("honest two-round value on the perfect base = %.12f" % repeated_honest_value(base, 2))

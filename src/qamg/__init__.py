@@ -50,8 +50,6 @@ from .qam import (
 from .qmam import (
     MerlinStrategy,
     QipInstance,
-    QmamInstance,
-    build_qmam,
     fidelity,
     honest_value,
     max_accept_two_ways,

@@ -106,7 +106,7 @@ class TrajectoryDistribution:
 
     n_events: int
     probs: dict
-    accept_threshold: Fraction
+    accept_threshold: int  # smallest accepting agreement count
 
     def total(self):
         return sum(self.probs.values())
@@ -227,7 +227,7 @@ def run_alternating_measurements(
     if n_events < 1:
         raise ValueError("need at least one measurement event")
     _check_normalized(witness)
-    threshold = Fraction(n_events) * (inst.a + inst.b) / 2
+    threshold = threshold_count(n_events, inst.a, inst.b)
     forward = inst.verifier
     backward = dagger(inst.verifier)
     pi_mask = output_one_mask(inst.verifier.width)
@@ -257,7 +257,7 @@ def run_alternating_measurements(
             v /= np.sqrt(prob)
             z[:, i - 1] = y == y_prev
             y_prev = y
-        return z, z.sum(axis=1) >= threshold_count(n_events, inst.a, inst.b)
+        return z, z.sum(axis=1) >= threshold
 
     if mode != "enumerate":
         raise ValueError(f"unknown mode {mode!r}")
@@ -377,14 +377,13 @@ class WitnessPreservingAmplification:
     base: QmaInstance
     r: int
     n_events: int
-    accept_threshold: Fraction
+    accept_threshold: int  # smallest accepting agreement count
     m: int
     completeness: Fraction
     soundness: Fraction
 
     def acceptance_probability(self, p: Rational):
-        t0 = threshold_count(self.n_events, self.base.a, self.base.b)
-        return binomial_tail(p, self.n_events, t0)
+        return binomial_tail(p, self.n_events, self.accept_threshold)
 
     def run(self, witness: StateVector, mode: str = "sample", seed: int = 0):
         return run_alternating_measurements(self.base, witness, self.n_events, mode, seed)
@@ -400,7 +399,7 @@ def amplify_preserving_witness(inst: QmaInstance, r: int) -> WitnessPreservingAm
         base=inst,
         r=r,
         n_events=n,
-        accept_threshold=Fraction(n) * (inst.a + inst.b) / 2,
+        accept_threshold=threshold_count(n, inst.a, inst.b),
         m=inst.m,
         completeness=1 - Fraction(1, 2**r),
         soundness=Fraction(1, 2**r),
@@ -414,11 +413,10 @@ class CopyAmplification:
     base: QmaInstance
     copies: int
     message_width: int
-    accept_threshold: Fraction
+    accept_threshold: int  # smallest accepting vote count
 
     def acceptance_probability(self, p: Rational):
-        t0 = threshold_count(self.copies, self.base.a, self.base.b)
-        return binomial_tail(p, self.copies, t0)
+        return binomial_tail(p, self.copies, self.accept_threshold)
 
 
 def amplify_by_copies(inst: QmaInstance, t: int) -> CopyAmplification:
@@ -428,7 +426,7 @@ def amplify_by_copies(inst: QmaInstance, t: int) -> CopyAmplification:
         base=inst,
         copies=t,
         message_width=t * inst.m,
-        accept_threshold=Fraction(t) * (inst.a + inst.b) / 2,
+        accept_threshold=threshold_count(t, inst.a, inst.b),
     )
 
 

@@ -473,15 +473,6 @@ class StateVector:
             return self.norms_sq()[0]
         return float(np.vdot(self.vec, self.vec).real)
 
-    def inner(self, other: StateVector):
-        """<self|other> of two single states; modes must match."""
-        if self.exact != other.exact or self.n != other.n:
-            raise ValueError("inner product needs matching mode and width")
-        if not self.exact:
-            return complex(np.vdot(self.vec, other.vec))
-        g = plane_matmul(plane_adjoint(self._view(1 << self.n)), other._view(1 << other.n))
-        return ExactScalar(*(int(v) for v in g[:, 0, 0]), self.exponent + other.exponent)
-
     def gram_planes(self) -> tuple[np.ndarray, int]:
         """Planes and exponent of the exact Gram matrix of a block's columns."""
         v = self._view(1 << self.n)

@@ -49,7 +49,7 @@ from .circuits import (
     x_gates,
 )
 from .qam import QamInstance, coin_spectra, coin_strings, markov_check, parallel_repetition_values
-from .qmam import QipInstance, build_qmam, honest_value, optimize_cheating, soundness_bound
+from .qmam import QipInstance, honest_value, optimize_cheating, soundness_bound
 from .spectra import acceptance_spectrum
 
 RNG_NAME = "philox-4x64-counter"
@@ -589,14 +589,13 @@ def _run_qam(config: ExperimentConfig, inst: QamInstance) -> tuple[dict, dict, d
 
 def _run_qmam(config: ExperimentConfig, base: QipInstance) -> tuple[dict, dict, dict, dict]:
     restarts = config.restarts if config.restarts is not None else 16
-    batch_bits = 2 * (base.k + base.m)  # k + m + l qubits, l = k + m
+    batch_bits = base.k + base.m + base.l
     if config.mode == "sample" and restarts << batch_bits > 1 << QMAM_BATCH_CAP_BITS:
         raise WorkCapError(
             f"sample mode capped at 2^{QMAM_BATCH_CAP_BITS} see-saw amplitudes, "
             f"got {restarts}*2^{batch_bits}"
         )
-    inst = build_qmam(base)
-    honest = honest_value(inst)
+    honest = honest_value(base)
     bound = soundness_bound(base)
     values: dict = {
         "honest_value": honest,
@@ -606,7 +605,7 @@ def _run_qmam(config: ExperimentConfig, base: QipInstance) -> tuple[dict, dict, 
     residuals: dict = {}
     checks: dict = {"honest_within_unit": -1e-9 <= honest <= 1 + 1e-9}
     if config.mode == "sample":
-        result = optimize_cheating(inst, restarts=restarts, seed=config.seed)
+        result = optimize_cheating(base, restarts=restarts, seed=config.seed)
         values.update(
             {
                 "cheat_value": result.value,

@@ -36,6 +36,7 @@ from .spectra import (
 REPEATED_GAME_QUBIT_CAP = 12
 _REPETITION_BATCH_ENTRIES = 1 << 20  # matrix entries per stacked repetition eigensolve
 _EXHAUSTIVE_COIN_CAP = 12  # beyond 2^12 coins, sample
+_INDETERMINATE_TOL = 1e-9  # a coin's optimum this close to 1/3 or 2/3 still carries a requirement
 
 
 def coin_strings(s: int) -> list[str]:
@@ -108,14 +109,14 @@ class CoinSpectrum:
             raise ValueError("acceptance and rejection eigenvalues must sum to 1")
 
 
-def coin_spectra(inst: QamInstance, check_complement: bool = True) -> dict:
+def coin_spectra(inst: QamInstance) -> dict:
     """Per-coin spectral decompositions with the complement-sums-to-identity check."""
     out = {}
     checked = set()
     for y in inst.coins():
         circ = inst.family[y]
         q1, decomp = inst.coin_spectrum(y)
-        if check_complement and circ not in checked:
+        if circ not in checked:
             checked.add(circ)
             q0 = rejection_operator(circ, inst.m, inst.k)
             gap = np.abs(q0 + q1 - np.eye(1 << inst.m)).max()
@@ -149,7 +150,7 @@ def qam_value(inst: QamInstance, strategy: dict) -> float:
 
 def optimal_qam_value(inst: QamInstance) -> float:
     """Coin-average of per-coin top eigenvalues (best possible Merlin)."""
-    spectra = coin_spectra(inst, check_complement=False)
+    spectra = coin_spectra(inst)
     return float(sum(spectra[y].accept[0] for y in inst.coins())) / (1 << inst.s)
 
 
@@ -344,7 +345,7 @@ class CoinCertificateRow:
     indeterminate: bool
 
 
-def bp_pp_conditions(inst: QamInstance, tol: float = 1e-9) -> list[CoinCertificateRow]:
+def bp_pp_conditions(inst: QamInstance) -> list[CoinCertificateRow]:
     """Exact per-coin membership certificates after per-coin amplification.
 
     Each coin's verifier is amplified (witness-preserving) to error 2^-(m+2)
@@ -361,6 +362,6 @@ def bp_pp_conditions(inst: QamInstance, tol: float = 1e-9) -> list[CoinCertifica
         )
         cert = amplified_counting_certificate(coin_inst, r)
         in_k = 2 * cert.h >= 2**cert.g
-        indeterminate = (1 / 3 + tol) < mu < (2 / 3 - tol)
+        indeterminate = (1 / 3 + _INDETERMINATE_TOL) < mu < (2 / 3 - _INDETERMINATE_TOL)
         rows.append(CoinCertificateRow(y, mu, cert, in_k, indeterminate))
     return rows

@@ -2,10 +2,12 @@
 
 Registers follow the interactive-proof convention: the verifier's k work
 qubits come first (output qubit on top), then the m message qubits, then the
-prover's private qubits.  The one-coin game sends the work register as the
-prover's first message; heads replays the verifier's second transformation
-and checks the output qubit, tails replays the inverse of the first and
-checks that the work register returns to zero.
+prover's private qubits.  `cheat_game` compiles a `QipInstance` into the
+one-coin game, which sends the work register as the prover's first message;
+heads replays the verifier's second transformation and checks the output
+qubit, tails replays the inverse of the first and checks that the work
+register returns to zero.  Every function here takes the verifier itself,
+which expands each circuit once and keeps it for its lifetime.
 
 Prover optimization is a see-saw: the state step and the per-coin unitary
 step each solve their subproblem exactly, so iterate values are monotone
@@ -130,7 +132,11 @@ def _apply_last(vec: np.ndarray, op: np.ndarray, first_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QipInstance:
-    """Three-message verifier: two unitary circuits on the (work, message) pair."""
+    """Three-message verifier: two unitary circuits on the (work, message) pair.
+
+    It also holds what the one-coin game reads: the purifying width l, each
+    circuit expanded once, and the tails and heads test operators.
+    """
 
     v1: Circuit
     v2: Circuit
@@ -149,58 +155,39 @@ class QipInstance:
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [0,1], got {self.epsilon}")
 
-
-def soundness_bound(base: QipInstance) -> float:
-    """1/2 + sqrt(epsilon)/2: the one-coin game's soundness guarantee."""
-    return 0.5 + math.sqrt(float(base.epsilon)) / 2.0
-
-
-@dataclass(frozen=True)
-class QmamInstance:
-    """One-coin game built on a three-message verifier; m1 = k, m2 = m."""
-
-    base: QipInstance
-
-    @property
-    def m1(self) -> int:
-        return self.base.k
-
-    @property
-    def m2(self) -> int:
-        return self.base.m
-
     @property
     def l(self) -> int:
         # enough private qubits to purify the (work, message) pair
-        return self.m1 + self.m2
+        return self.k + self.m
 
     @cached_property
     def u1(self) -> np.ndarray:
         """The verifier's first transformation, expanded once; read-only."""
-        u = to_unitary(self.base.v1)
+        u = to_unitary(self.v1)
         u.flags.writeable = False
         return u
 
     @cached_property
     def u2(self) -> np.ndarray:
         """The verifier's second transformation, expanded once; read-only."""
-        u = to_unitary(self.base.v2)
+        u = to_unitary(self.v2)
         u.flags.writeable = False
         return u
 
     def lambda_tails(self) -> np.ndarray:
         """Test operator for tails: undo the first transformation, check zeros."""
-        delta = prefix_zero_mask(self.base.v1.width, self.base.k).astype(np.complex128)
+        delta = prefix_zero_mask(self.v1.width, self.k).astype(np.complex128)
         return (self.u1 * delta) @ self.u1.conj().T
 
     def lambda_heads(self) -> np.ndarray:
         """Test operator for heads: finish the verification, check the output."""
-        pi = output_one_mask(self.base.v2.width).astype(np.complex128)
+        pi = output_one_mask(self.v2.width).astype(np.complex128)
         return (self.u2.conj().T * pi) @ self.u2
 
 
-def build_qmam(base: QipInstance) -> QmamInstance:
-    return QmamInstance(base=base)
+def soundness_bound(base: QipInstance) -> float:
+    """1/2 + sqrt(epsilon)/2: the one-coin game's soundness guarantee."""
+    return 0.5 + math.sqrt(float(base.epsilon)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -236,12 +223,13 @@ class CheatGame:
         return sorted(self.lambdas)
 
 
-def cheat_game(inst: QmamInstance) -> CheatGame:
+def cheat_game(base: QipInstance) -> CheatGame:
+    """The one-coin compilation: tails (coin 0) and heads (coin 1) of the verifier."""
     return CheatGame(
-        k=inst.m1,
-        m=inst.m2,
-        l=inst.l,
-        lambdas={"0": inst.lambda_tails(), "1": inst.lambda_heads()},
+        k=base.k,
+        m=base.m,
+        l=base.l,
+        lambdas={"0": base.lambda_tails(), "1": base.lambda_heads()},
     )
 
 
@@ -363,17 +351,18 @@ def optimize_cheating(
 ) -> OptimizationResult:
     """Best prover found by multi-restart see-saw; a certified lower bound.
 
-    Accepts a one-coin instance or a prepared CheatGame.  Each restart
-    alternates exact subproblem solutions (target projection, polar unitary
-    alignment, small-Gram state update), so per-restart values never
-    decrease; the random restarts and the seeded strategies run as one
-    batch, and the result reports the first best restart.
+    Accepts a three-message verifier, played as its one-coin game, or a
+    prepared CheatGame.  Each restart alternates exact subproblem solutions
+    (target projection, polar unitary alignment, small-Gram state update),
+    so per-restart values never decrease; the random restarts and the
+    seeded strategies run as one batch, and the result reports the first
+    best restart.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"need at least one iteration, got {max_iters}")
-    game = cheat_game(target) if isinstance(target, QmamInstance) else target
+    game = cheat_game(target) if isinstance(target, QipInstance) else target
     dim = 1 << game.total_qubits
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(restarts)]
@@ -387,7 +376,7 @@ def optimize_cheating(
 
 
 def translate_honest(
-    inst: QmamInstance,
+    base: QipInstance,
     psi_base: Optional[np.ndarray] = None,
     u: Optional[np.ndarray] = None,
 ) -> MerlinStrategy:
@@ -397,7 +386,7 @@ def translate_honest(
     verifier's first transformation, and later answers heads with the base
     response and tails with no action.
     """
-    k, m, l = inst.m1, inst.m2, inst.l
+    k, m, l = base.k, base.m, base.l
     du = 1 << (m + l)
     if psi_base is None:
         psi_base = np.zeros(du, dtype=np.complex128)
@@ -410,18 +399,18 @@ def translate_honest(
         raise ValueError("base prover arities do not match the game")
     start = np.zeros(1 << (k + m + l), dtype=np.complex128)
     start.reshape(1 << k, du)[0, :] = psi_base
-    prepared = _apply_first(start, inst.u1, 1 << (k + m))
+    prepared = _apply_first(start, base.u1, 1 << (k + m))
     return MerlinStrategy(
         psi=prepared,
         u_by_coin={"0": np.eye(du, dtype=np.complex128), "1": u},
     )
 
 
-def honest_value(inst: QmamInstance, prover: Optional[tuple] = None) -> float:
+def honest_value(base: QipInstance, prover: Optional[tuple] = None) -> float:
     """Value of the lifted honest strategy (defaults to a trivial base prover)."""
     psi_base, u = prover if prover is not None else (None, None)
-    strategy = translate_honest(inst, psi_base, u)
-    return strategy_value(cheat_game(inst), strategy.psi, strategy.u_by_coin)
+    strategy = translate_honest(base, psi_base, u)
+    return strategy_value(cheat_game(base), strategy.psi, strategy.u_by_coin)
 
 
 # --- the two characterizations of three-message max acceptance ---
@@ -493,12 +482,6 @@ def _seesaw_confined(
     return values, converged, iterations, phis, us
 
 
-def acceptance_tests(base: QipInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(tails, heads) test operators on the (work, message) register."""
-    inst = build_qmam(base)
-    return inst.lambda_tails(), inst.lambda_heads()
-
-
 def max_accept_two_ways(
     base: QipInstance,
     tol: float = 1e-10,
@@ -522,11 +505,10 @@ def max_accept_two_ways(
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"need at least one iteration, got {max_iters}")
-    inst = build_qmam(base)
     k, m = base.k, base.m
-    du = 1 << (m + inst.l)
-    tails = inst.u1[:, : 1 << m]  # the first transformation's zero-work inputs
-    heads = inst.lambda_heads()
+    du = 1 << (m + base.l)
+    tails = base.u1[:, : 1 << m]  # the first transformation's zero-work inputs
+    heads = base.lambda_heads()
     rng = np.random.Generator(np.random.Philox(key=seed))
     eye = np.broadcast_to(np.eye(du, dtype=np.complex128), (restarts, du, du))
     psi0 = np.stack([rng.normal(size=du) + 1j * rng.normal(size=du) for _ in range(restarts)])
@@ -579,46 +561,44 @@ def uhlmann_bound_check(
 # --- parallel repetition ---
 
 
-def repeated_cheat_game(inst: QmamInstance, copies: int) -> CheatGame:
-    """AND-repetition: joint coins, tensored tests, registers grouped by kind."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    k, m = inst.m1, inst.m2
-    perm = _interleave_blocks_perm(copies, [k, m])
-    single = cheat_game(inst).lambdas
-    lambdas = {}
+def _joint_coin_products(by_coin: dict, copies: int, sizes: Sequence[int]) -> dict:
+    """Each joint coin's Kronecker product of per-copy operators, regrouped by block kind."""
+    perm = _interleave_blocks_perm(copies, sizes)
+    out = {}
     for joint in range(1 << copies):
         coin = format(joint, f"0{copies}b")
         op = np.eye(1)
         for c in coin:
-            op = np.kron(op, single[c])
-        lambdas[coin] = permute_qubits_op(op, perm)
-    return CheatGame(k=copies * k, m=copies * m, l=copies * inst.l, lambdas=lambdas)
+            op = np.kron(op, by_coin[c])
+        out[coin] = permute_qubits_op(op, perm)
+    return out
 
 
-def product_strategy(inst: QmamInstance, single: MerlinStrategy, copies: int) -> MerlinStrategy:
+def repeated_cheat_game(base: QipInstance, copies: int) -> CheatGame:
+    """AND-repetition: joint coins, tensored tests, registers grouped by kind."""
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    single = cheat_game(base).lambdas
+    lambdas = _joint_coin_products(single, copies, [base.k, base.m])
+    return CheatGame(k=copies * base.k, m=copies * base.m, l=copies * base.l, lambdas=lambdas)
+
+
+def product_strategy(base: QipInstance, single: MerlinStrategy, copies: int) -> MerlinStrategy:
     """Play one strategy independently in every repetition."""
-    k, m, l = inst.m1, inst.m2, inst.l
+    k, m, l = base.k, base.m, base.l
     psi = np.array([1.0 + 0j])
     for _ in range(copies):
         psi = np.kron(psi, single.psi)
     psi = permute_qubits_vec(psi, _interleave_blocks_perm(copies, [k, m, l]))
-    u_perm = _interleave_blocks_perm(copies, [m, l])
-    u_by_coin = {}
-    for joint in range(1 << copies):
-        coin = format(joint, f"0{copies}b")
-        u = np.eye(1, dtype=np.complex128)
-        for c in coin:
-            u = np.kron(u, single.u_by_coin[c])
-        u_by_coin[coin] = permute_qubits_op(u, u_perm)
+    u_by_coin = _joint_coin_products(single.u_by_coin, copies, [m, l])
     return MerlinStrategy(psi=psi, u_by_coin=u_by_coin)
 
 
 def repeated_honest_value(
-    inst: QmamInstance, copies: int, prover: Optional[tuple] = None
+    base: QipInstance, copies: int, prover: Optional[tuple] = None
 ) -> float:
     """Honest product play of the repeated game."""
-    game = repeated_cheat_game(inst, copies)
-    honest = translate_honest(inst, *(prover or (None, None)))
-    strategy = product_strategy(inst, honest, copies)
+    game = repeated_cheat_game(base, copies)
+    honest = translate_honest(base, *(prover or (None, None)))
+    strategy = product_strategy(base, honest, copies)
     return strategy_value(game, strategy.psi, strategy.u_by_coin)

@@ -50,7 +50,6 @@ from qamg.qam import (
 )
 from qamg.qmam import (
     QipInstance,
-    build_qmam,
     fidelity_sum_gap,
     honest_value,
     max_accept_two_ways,
@@ -358,7 +357,7 @@ def test_criterion_08_one_coin_completeness_soundness():
     for i in range(10):
         k, m = shapes[i % 4]
         base = generate_instance("qip-perfect", seed=i, k=k, m=m, gates=8)
-        gap = abs(honest_value(build_qmam(base)) - 1.0)
+        gap = abs(honest_value(base) - 1.0)
         if gap > 1e-9:
             failures.append(f"perfect {i}: honest off by {gap:.2e}")
     no_cases = [
@@ -370,7 +369,7 @@ def test_criterion_08_one_coin_completeness_soundness():
     for coins, k, m, restarts in no_cases:
         base = generate_instance("qip-no", seed=0, k=k, m=m, coins=coins)
         bound = soundness_bound(base)
-        result = optimize_cheating(build_qmam(base), restarts=restarts, seed=coins)
+        result = optimize_cheating(base, restarts=restarts, seed=coins)
         worst_slack = max(worst_slack, result.value - bound)
         if result.value > bound + 1e-4:
             failures.append(f"coins={coins} k={k} m={m}: {result.value:.6f} > {bound:.6f}")
@@ -391,7 +390,7 @@ def test_criterion_08_one_coin_completeness_soundness():
         v0 = np.broadcast_to(ct, (961, 1920))
         v1 = st * np.exp(1j * phi)[None, :]
         grid = 0.5 * (np.abs(v0) ** 2 + np.abs(b[0] * v0.conj() + b[1] * v1.conj()) ** 2)
-        result = optimize_cheating(build_qmam(base), restarts=8, seed=key)
+        result = optimize_cheating(base, restarts=8, seed=key)
         gap = abs(result.value - float(grid.max()))
         if gap > 1e-4:
             failures.append(f"grid case {key}: optimizer vs grid gap {gap:.2e}")
@@ -466,17 +465,16 @@ def test_criterion_11_one_coin_parallel_repetition():
     """Two-fold play preserves honest wins and squares the cheat optimum."""
     started = time.monotonic()
     failures: list = []
-    perfect = build_qmam(generate_instance("qip-perfect", seed=3, k=1, m=1, gates=8))
+    perfect = generate_instance("qip-perfect", seed=3, k=1, m=1, gates=8)
     honest_gap = abs(repeated_honest_value(perfect, 2) - 1.0)
     if honest_gap > 1e-9:
         failures.append(f"repeated honest off by {honest_gap:.2e}")
     base = QipInstance(
         v1=circuit(2), v2=circuit(2, [hadamard(0)]), k=1, m=1, epsilon=Fraction(1, 2)
     )
-    inst = build_qmam(base)
-    single = optimize_cheating(inst, restarts=8, seed=0)
-    doubled = repeated_cheat_game(inst, 2)
-    seeded = product_strategy(inst, single.strategy, 2)
+    single = optimize_cheating(base, restarts=8, seed=0)
+    doubled = repeated_cheat_game(base, 2)
+    seeded = product_strategy(base, single.strategy, 2)
     result = optimize_cheating(doubled, restarts=6, seeds=[seeded], max_iters=400, seed=1)
     target = single.value**2
     if result.value > target + 1e-3:

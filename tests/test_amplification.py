@@ -513,6 +513,47 @@ class TestAmplifyByCopies:
         assert amplify_by_copies(inst, 5).message_width == 5 * inst.m
 
 
+def _rule_tail(p: Fraction, n: int, a: Fraction, b: Fraction) -> Fraction:
+    """Pr[Binomial(n, p) agreements meet the n(a+b)/2 rule], summed term by term."""
+    return sum(
+        math.comb(n, j) * p**j * (1 - p) ** (n - j)
+        for j in range(n + 1)
+        if j >= Fraction(n) * (a + b) / 2
+    )
+
+
+class TestAcceptThreshold:
+    """Every descriptor stores the smallest accepting count of the n(a+b)/2 rule."""
+
+    a, b = Fraction(2, 3), Fraction(1, 5)
+
+    def test_copies(self):
+        inst = _identity_instance(self.a, self.b)
+        amp = amplify_by_copies(inst, 8)
+        assert amp.accept_threshold == 4
+        for p in (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)):
+            assert amp.acceptance_probability(p) == _rule_tail(p, 8, self.a, self.b)
+
+    def test_preserving_witness(self):
+        inst = _identity_instance(self.a, self.b)
+        amp = amplify_preserving_witness(inst, 1)
+        assert (amp.n_events, amp.accept_threshold) == (72, 32)
+        for p in (self.b, Fraction(1, 2), self.a):
+            assert amp.acceptance_probability(p) == _rule_tail(p, 72, self.a, self.b)
+
+    def test_enumerated_distribution(self):
+        gates = [hadamard(1)] + cnot_gates(1, 0, 2)  # acceptance operator exactly I/2
+        inst = QmaInstance(circuit(3, gates), m=1, k=2, a=self.a, b=self.b)
+        dist = run_alternating_measurements(
+            inst, StateVector.basis(1, 0, exact=True), 8, mode="enumerate"
+        )
+        assert dist.accept_threshold == 4
+        rule = Fraction(8) * (self.a + self.b) / 2
+        want = sum(p for z, p in dist.probs.items() if sum(z) >= rule)
+        assert want == _rule_tail(Fraction(1, 2), 8, self.a, self.b)
+        assert dist.acceptance_probability() == want
+
+
 class TestCountingCertificate:
     def test_identity_instance(self):
         cert = counting_certificate(_identity_instance())

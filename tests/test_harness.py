@@ -36,7 +36,7 @@ from qamg.harness import (
     write_atomic,
 )
 from qamg.qam import coin_spectra
-from qamg.qmam import build_qmam, honest_value
+from qamg.qmam import honest_value
 from qamg.spectra import acceptance_spectrum
 
 # One compact parameter set per generator kind, small enough for fast tests.
@@ -198,7 +198,7 @@ class TestGenerators:
 
     def test_qip_perfect_honest_value_is_one(self):
         inst = generate_instance("qip-perfect", seed=2, k=1, m=1, gates=5)
-        assert abs(honest_value(build_qmam(inst)) - 1.0) <= 1e-9
+        assert abs(honest_value(inst) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("coins", [0, 1, 2])
     def test_qip_no_declared_epsilon(self, coins):
@@ -470,7 +470,7 @@ class TestCli:
             raise AssertionError("the run must be rejected before any work")
 
         # a run that got as far as its first eigensolve or unitary expansion raises here
-        for name in ("_top_witness", "coin_spectra", "build_qmam"):
+        for name in ("_top_witness", "coin_spectra", "honest_value"):
             monkeypatch.setattr(harness, name, no_work)
 
     def test_work_caps_exit_five(self, tmp_path, capsys, monkeypatch):

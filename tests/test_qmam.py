@@ -27,12 +27,11 @@ from qamg.circuits import (
     x_gates,
 )
 from qamg.harness import generate_instance
+import qamg.qmam as qmam
 from qamg.qmam import (
     CheatGame,
     MerlinStrategy,
     QipInstance,
-    acceptance_tests,
-    build_qmam,
     cheat_game,
     fidelity,
     fidelity_sum_gap,
@@ -218,22 +217,39 @@ class TestInstances:
 
     def test_build_dimensions(self):
         base = _tight_half_base()
-        inst = build_qmam(base)
-        assert (inst.m1, inst.m2, inst.l) == (1, 1, 2)
-        game = cheat_game(inst)
+        assert (base.k, base.m, base.l) == (1, 1, 2)
+        game = cheat_game(base)
         assert game.total_qubits == 4
         assert game.coins() == ["0", "1"]
 
+    def test_unitaries_expand_once_per_verifier(self, monkeypatch):
+        expanded = []
+
+        def counted(circ):
+            expanded.append(circ)
+            return to_unitary(circ)
+
+        monkeypatch.setattr(qmam, "to_unitary", counted)
+        base = _random_base(1, 1, seed=5)
+        honest_value(base)
+        optimize_cheating(base, restarts=1, max_iters=1)
+        max_accept_two_ways(base, restarts=1, max_iters=1)
+        assert len(expanded) == 2
+        for u in (base.u1, base.u2):
+            assert not u.flags.writeable
+            with pytest.raises(ValueError):
+                u[0, 0] = 0
+
     def test_lambdas_are_projectors(self):
         base = _perfect_base(2, 1, seed=11)
-        tails, heads = acceptance_tests(base)
+        tails, heads = base.lambda_tails(), base.lambda_heads()
         for lam in (tails, heads):
             assert np.abs(lam @ lam - lam).max() < 1e-9
             assert np.abs(lam - lam.conj().T).max() < 1e-9
 
     def test_trivial_lambdas_are_masks(self):
         base = QipInstance(v1=circuit(2), v2=circuit(2), k=1, m=1, epsilon=Fraction(0))
-        tails, heads = acceptance_tests(base)
+        tails, heads = base.lambda_tails(), base.lambda_heads()
         assert np.abs(tails - np.diag([1, 1, 0, 0])).max() < 1e-12
         assert np.abs(heads - np.diag([0, 0, 1, 1])).max() < 1e-12
 
@@ -241,11 +257,11 @@ class TestInstances:
 class TestHonest:
     def test_perfect_base_gives_value_one(self):
         for seed in (0, 1, 2):
-            inst = build_qmam(_perfect_base(2, 1, seed=seed))
+            inst = _perfect_base(2, 1, seed=seed)
             assert abs(honest_value(inst) - 1.0) < 1e-9
 
     def test_tails_branch_always_accepts(self):
-        inst = build_qmam(_tight_half_base())
+        inst = _tight_half_base()
         strat = translate_honest(inst)
         game = cheat_game(inst)
         moved = strat.psi  # tails answer is the identity
@@ -255,10 +271,10 @@ class TestHonest:
     def test_zero_epsilon_base_honest_half(self):
         # trivial V2 never sets the output, so only tails contributes
         base = QipInstance(v1=circuit(2), v2=circuit(2), k=1, m=1, epsilon=Fraction(0))
-        assert abs(honest_value(build_qmam(base)) - 0.5) < 1e-12
+        assert abs(honest_value(base) - 0.5) < 1e-12
 
     def test_strategy_value_matches_dense_oracle(self):
-        inst = build_qmam(_tight_half_base())
+        inst = _tight_half_base()
         game = cheat_game(inst)
         rng = np.random.Generator(np.random.Philox(key=8))
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -278,7 +294,7 @@ class TestHonest:
         assert abs(got - want) < 1e-12
 
     def test_honest_translation_is_valid_strategy(self):
-        inst = build_qmam(_perfect_base(1, 1, seed=3))
+        inst = _perfect_base(1, 1, seed=3)
         strat = translate_honest(inst)
         assert abs(np.linalg.norm(strat.psi) - 1.0) < 1e-9
         assert set(strat.u_by_coin) == {"0", "1"}
@@ -300,7 +316,7 @@ def _spectator_optimum(base: QipInstance) -> float:
     tested work-register state, so the game value is half the top eigenvalue
     of the summed work-side test operators.
     """
-    tails, heads = acceptance_tests(base)
+    tails, heads = base.lambda_tails(), base.lambda_heads()
     dim_v = 1 << base.k
     dim_m = 1 << base.m
     t_v = tails.reshape(dim_v, dim_m, dim_v, dim_m)[:, 0, :, 0]
@@ -313,7 +329,7 @@ def _spectator_optimum(base: QipInstance) -> float:
 
 class TestCheating:
     def test_zero_epsilon_optimum_is_half(self):
-        inst = build_qmam(_coin_base(0, 1, 1))
+        inst = _coin_base(0, 1, 1)
         result = optimize_cheating(inst, restarts=6)
         assert result.value <= 0.5 + 1e-9
         assert result.value >= 0.5 - 1e-7
@@ -321,8 +337,7 @@ class TestCheating:
 
     def test_tight_half_matches_closed_form(self):
         base = _tight_half_base()
-        inst = build_qmam(base)
-        result = optimize_cheating(inst, restarts=8)
+        result = optimize_cheating(base, restarts=8)
         closed = 0.5 * (1.0 + 2 ** -0.5)
         assert abs(result.value - closed) < 1e-6
         assert result.value <= soundness_bound(base) + 1e-9
@@ -331,10 +346,9 @@ class TestCheating:
         # the tossed-coin gadgets achieve exactly 1/2 + sqrt(eps)/2
         for n_coins, k in ((2, 3),):
             base = _coin_base(n_coins, k, 1)
-            inst = build_qmam(base)
             oracle = _spectator_optimum(base)
             assert abs(oracle - soundness_bound(base)) < 1e-12
-            result = optimize_cheating(inst, restarts=8)
+            result = optimize_cheating(base, restarts=8)
             assert result.value <= oracle + 1e-9
             assert result.value >= oracle - 1e-5
 
@@ -361,27 +375,26 @@ class TestCheating:
             v1 = st * np.exp(1j * phi)[None, :]
             grid = 0.5 * (np.abs(v0) ** 2 + np.abs(b[0] * v0.conj() + b[1] * v1.conj()) ** 2)
             assert abs(grid.max() - closed) < 2e-4
-            result = optimize_cheating(build_qmam(base), restarts=8, seed=key)
+            result = optimize_cheating(base, restarts=8, seed=key)
             assert abs(result.value - closed) < 1e-4
 
     def test_random_instances_respect_theorem(self):
         for seed in (21, 22):
             base = _random_base(1, 1, seed=seed)
             direct, _ = max_accept_two_ways(base, restarts=6, seed=seed)
-            inst = build_qmam(base)
-            result = optimize_cheating(inst, restarts=8, seed=seed)
+            result = optimize_cheating(base, restarts=8, seed=seed)
             bound = 0.5 + (max(direct, 0.0) + 1e-9) ** 0.5 / 2
             assert result.value <= bound + 1e-6
             assert result.value >= 0.5 - 1e-9
 
     def test_result_reports_iterations(self):
-        inst = build_qmam(_coin_base(0, 1, 1))
+        inst = _coin_base(0, 1, 1)
         result = optimize_cheating(inst, restarts=2)
         assert result.iterations >= 1
         assert isinstance(result.strategy, MerlinStrategy)
 
     def test_needs_a_restart(self):
-        inst = build_qmam(_coin_base(0, 1, 1))
+        inst = _coin_base(0, 1, 1)
         for restarts in (0, -4):
             with pytest.raises(ValueError, match="restart"):
                 optimize_cheating(inst, restarts=restarts)
@@ -466,7 +479,7 @@ class TestReducedSeesaw:
         ],
     )
     def test_matches_full_unitary_reference(self, kind, params, seed):
-        game = cheat_game(build_qmam(generate_instance(kind, seed, **params)))
+        game = cheat_game(generate_instance(kind, seed, **params))
         dim = 1 << game.total_qubits
         du = 1 << (game.m + game.l)
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -490,7 +503,7 @@ class TestReducedSeesaw:
     @pytest.mark.parametrize("dead", [("1",), ("0", "1")])
     def test_dead_targets(self, dead):
         """A zero test operator leaves its coin without a target; with none left a start stops."""
-        game = cheat_game(build_qmam(generate_instance("qip-no", 5, k=3, m=1, coins=2)))
+        game = cheat_game(generate_instance("qip-no", 5, k=3, m=1, coins=2))
         game = CheatGame(game.k, game.m, game.l, {
             y: np.zeros_like(op) if y in dead else op for y, op in game.lambdas.items()
         })
@@ -557,8 +570,7 @@ def _small_bases() -> list:
 
 def _direct_kernel_args(base):
     """(Lambda, basis, dim_first, du) of the direct route: heads test, lifted tails states."""
-    inst = build_qmam(base)
-    return inst.lambda_heads(), inst.u1[:, : 1 << base.m], 1 << base.k, 1 << (base.m + inst.l)
+    return base.lambda_heads(), base.u1[:, : 1 << base.m], 1 << base.k, 1 << (base.m + base.l)
 
 
 def _random_unitaries(rng, count, dim):
@@ -682,7 +694,7 @@ class TestUhlmannBound:
 
 class TestRepetition:
     def test_product_strategy_squares_value(self):
-        inst = build_qmam(_tight_half_base())
+        inst = _tight_half_base()
         game = cheat_game(inst)
         rng = np.random.Generator(np.random.Philox(key=50))
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -700,7 +712,7 @@ class TestRepetition:
         assert abs(v2 - v1 * v1) < 1e-10
 
     def test_repeated_game_shape(self):
-        inst = build_qmam(_tight_half_base())
+        inst = _tight_half_base()
         doubled = repeated_cheat_game(inst, 2)
         assert (doubled.k, doubled.m, doubled.l) == (2, 2, 4)
         assert sorted(doubled.lambdas) == ["00", "01", "10", "11"]
@@ -708,15 +720,14 @@ class TestRepetition:
             assert np.abs(lam @ lam - lam).max() < 1e-9
 
     def test_honest_value_preserved_under_repetition(self):
-        inst = build_qmam(_perfect_base(1, 1, seed=60))
+        inst = _perfect_base(1, 1, seed=60)
         assert abs(repeated_honest_value(inst, 2) - 1.0) < 1e-9
 
     def test_two_fold_soundness_squares(self):
         base = _tight_half_base()
-        inst = build_qmam(base)
-        single = optimize_cheating(inst, restarts=8)
-        doubled = repeated_cheat_game(inst, 2)
-        seed_strategy = product_strategy(inst, single.strategy, 2)
+        single = optimize_cheating(base, restarts=8)
+        doubled = repeated_cheat_game(base, 2)
+        seed_strategy = product_strategy(base, single.strategy, 2)
         result = optimize_cheating(
             doubled, restarts=6, seeds=[seed_strategy], max_iters=400
         )
