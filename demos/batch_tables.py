@@ -4,7 +4,7 @@ Seeded experiment batches and summary tables
 
 The harness wraps the three protocol families behind one experiment
 shape: generate an instance from a seed, save it as JSON, point a config
-at the file, and get back a JSON-ready report whose named checks either
+at the file (its type names the protocol), and get back a JSON-ready report whose named checks either
 all pass or say what failed.  Reports aggregate into a CSV with a stable
 column order, so a sweep lands in a spreadsheet without glue code.
 
@@ -24,25 +24,25 @@ from qamg.harness import run_batch
 # %% One instance per generator kind, written to disk like the CLI would.
 work = pathlib.Path(tempfile.mkdtemp(prefix="qamg_demo_"))
 specs = [
-    ("qma", "qma-p", dict(target="3/4", m=1, k=3), "enumerate", dict(reps=6)),
-    ("qma", "qma-random", dict(m=1, k=2, gates=9), "analytic", dict()),
-    ("qam", "qam-bounded", dict(s=3, m=1, k=3, error="1/16"), "analytic", dict()),
-    ("qmam", "qip-perfect", dict(k=2, m=1), "analytic", dict()),
-    ("qmam", "qip-no", dict(coins=2, k=3, m=1), "sample", dict(restarts=6)),
+    ("qma-p", dict(target="3/4", m=1, k=3), "enumerate", dict(reps=6)),
+    ("qma-random", dict(m=1, k=2, gates=9), "analytic", dict()),
+    ("qam-bounded", dict(s=3, m=1, k=3, error="1/16"), "analytic", dict()),
+    ("qip-perfect", dict(k=2, m=1), "analytic", dict()),
+    ("qip-no", dict(coins=2, k=3, m=1), "sample", dict(restarts=6)),
 ]
 configs = []
-for i, (protocol, kind, params, mode, extra) in enumerate(specs):
+for i, (kind, params, mode, extra) in enumerate(specs):
     inst = generate_instance(kind, seed=20 + i, **params)
     path = work / f"{kind}.json"
     save_instance(inst, path)
     configs.append(ExperimentConfig(
-        protocol=protocol, instance=str(path), mode=mode, seed=100 + i,
+        instance=str(path), mode=mode, seed=100 + i,
         out=str(work / f"report_{kind}.json"), **extra,
     ))
 
 # %% Run them one after another; results come back in input order.
 reports = run_batch(configs)
-for (_, kind, *_), rep in zip(specs, reports):
+for (kind, *_), rep in zip(specs, reports):
     status = "ok" if rep["passed"] else "FAILED"
     print("%-12s mode=%-10s %d checks %-6s (%.2fs)"
           % (kind, rep["config"]["mode"], len(rep["checks"]), status,

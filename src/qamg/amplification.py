@@ -142,7 +142,7 @@ def _embed_witness(witness: StateVector, m: int, k: int) -> StateVector:
 def _check_normalized(witness: StateVector) -> None:
     ns = witness.norm_sq()
     if witness.exact:
-        if ns != ExactScalar.from_int(1):
+        if ns != 1:
             raise ValueError("witness must be exactly normalized in exact mode")
     elif abs(ns - 1.0) > 1e-9:
         raise ValueError(f"witness norm^2 = {ns}, not normalized")
@@ -286,11 +286,7 @@ def run_alternating_measurements(
         live = state.live_columns()
         state, z, y_prev = state.select(live), z[live], y[live]
 
-    norms = state.norms_sq()
-    probs = {
-        tuple(row): ns.to_fraction() if witness.exact else ns
-        for row, ns in zip(z.tolist(), norms)
-    }
+    probs = dict(zip(map(tuple, z.tolist()), state.norms_sq()))
     return TrajectoryDistribution(n_events, probs, threshold)
 
 
@@ -463,9 +459,7 @@ def counting_certificate(inst: QmaInstance) -> GapCertificate:
     """
     g = inst.verifier.hadamard_count()
     norms = accepted_columns_exact(inst.verifier, inst.m, inst.k).norms_sq()
-    if not all(ns.is_rational() for ns in norms):
-        raise ValueError("acceptance operator diagonal must be rational")
-    trace = sum((ns.to_fraction() for ns in norms), Fraction(0))
+    trace = sum(norms, Fraction(0))
     h = trace * 2**g
     if h.denominator != 1:
         raise ValueError(f"trace {trace} is not dyadic with exponent {g}")
@@ -561,16 +555,14 @@ def mixed_state_acceptance(inst: QmaInstance, exact: bool = False):
     block = apply_circuit(
         StateVector.columns(width, message_rows(inst.m, inst.k), exact), inst.verifier
     )
-    accepted = block.project(output_one_mask(width)).norms_sq()
+    avg = sum(block.project(output_one_mask(width)).norms_sq()) / dim
     if exact:
         q, e = planes_from_scalars(inst.q_operator_exact())
         trace_route = Fraction(_diagonal_sum(q), 1 << e) / dim
-        avg = sum(p.to_fraction() for p in accepted) / dim
         if trace_route != avg:
             raise AssertionError(f"exact routes disagree: {trace_route} vs {avg}")
         return trace_route
     trace_route = float(np.trace(inst.q_operator()).real) / dim
-    avg = sum(accepted) / dim
     if abs(trace_route - avg) > 1e-12:
         raise AssertionError(f"routes disagree: {trace_route} vs {avg}")
     return trace_route

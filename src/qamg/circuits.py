@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,6 +74,13 @@ def width_cap(exact: bool) -> int:
             raise ValueError(f"QAMG_WIDTH_CAP must be positive, got {cap}")
         return cap
     return EXACT_WIDTH_CAP if exact else FLOAT_WIDTH_CAP
+
+
+def check_width(n: int, exact: bool) -> None:
+    """Raise WidthCapError past the width cap; called before any 2^n array is built."""
+    cap = width_cap(exact)
+    if n > cap:
+        raise WidthCapError(f"width {n} exceeds {'exact' if exact else 'float'} cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -241,9 +249,12 @@ def multi_controlled_x_gates(
 # --- the verifier register convention ---
 
 
-def message_rows(m: int, k: int) -> np.ndarray:
-    """Basis indices of |j>|0^k> for every message j on m qubits: row j << k."""
-    return np.arange(1 << m) << k
+def message_rows(m: int, k: int) -> range:
+    """Basis indices of |j>|0^k> for every message j on m qubits: row j << k.
+
+    A lazy range, so no 2^m array exists before a width check.
+    """
+    return range(0, 1 << (m + k), 1 << k)
 
 
 def output_one_mask(n: int, q: int = 0) -> np.ndarray:
@@ -293,9 +304,7 @@ class StateVector:
         skip_cap_check: bool = False,
     ) -> None:
         if not skip_cap_check:
-            cap = width_cap(exact)
-            if n > cap:
-                raise WidthCapError(f"width {n} exceeds {'exact' if exact else 'float'} cap {cap}")
+            check_width(n, exact)
         self.n = n
         self.exact = exact
         # gates write through reshaped views, which must not be copies
@@ -310,6 +319,7 @@ class StateVector:
     @classmethod
     def columns(cls, n: int, indices: Iterable[int], exact: bool = False) -> StateVector:
         """Block whose column j is the basis state |indices[j]>."""
+        check_width(n, exact)
         indices = list(indices)
         for index in indices:
             if not 0 <= index < (1 << n):
@@ -457,16 +467,21 @@ class StateVector:
         return StateVector(self.n, False, vec=vec.astype(np.complex128), skip_cap_check=True)
 
     def norms_sq(self) -> list:
-        """Squared norm of every column: ExactScalars in exact mode, floats otherwise."""
+        """Squared norm of every column: Fractions in exact mode, floats otherwise.
+
+        An exact norm is rational / 2^(2e) straight from the integer planes;
+        a nonzero sqrt(2) part raises ValueError.
+        """
         if not self.exact:
             v = self._view(1 << self.n)
             return [float(x) for x in (v.real ** 2 + v.imag ** 2).sum(axis=0)]
         (planes,) = fit_int64(1 << self.n, self._view(1 << self.n))
         xr, xi, yr, yi = planes
+        if (xr * yr + xi * yi).sum(axis=0).any():
+            raise ValueError("squared norm has a nonzero sqrt(2) part")
         rational = (xr * xr + xi * xi + 2 * (yr * yr + yi * yi)).sum(axis=0)
-        root2 = 2 * (xr * yr + xi * yi).sum(axis=0)
-        e = 2 * self.exponent
-        return [ExactScalar(int(r), 0, int(s), 0, e) for r, s in zip(rational, root2)]
+        denominator = 1 << 2 * self.exponent
+        return [Fraction(int(r), denominator) for r in rational]
 
     def norm_sq(self):
         if self.exact:

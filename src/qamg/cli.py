@@ -90,21 +90,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _protocol_for(path: str) -> str:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    kind = data.get("type") if isinstance(data, dict) else None
-    if kind in ("qma", "qam", "qmam"):
-        return kind
-    raise SchemaError(f"{path}: unknown instance type {kind!r}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
-        protocol=_protocol_for(args.instance),
         instance=args.instance,
         mode=args.mode,
         seed=args.seed,

@@ -36,7 +36,7 @@ from .circuits import (
     CircuitParseError,
     Gate,
     StateVector,
-    WidthCapError,
+    check_width,
     circuit,
     dagger,
     hadamard,
@@ -45,7 +45,6 @@ from .circuits import (
     parse_circuit,
     serialize_circuit,
     toffoli,
-    width_cap,
     x_gates,
 )
 from .qam import QamInstance, coin_spectra, coin_strings, markov_check, parallel_repetition_values
@@ -313,7 +312,7 @@ def _generate_qma_p(target, m: int, k: int) -> QmaInstance:
     """
     if m < 1 or k < 2:
         raise ValueError("qma-p needs m >= 1 and k >= 2 (coins plus a borrow)")
-    _check_width(m + k, exact=True)
+    check_width(m + k, exact=True)
     goal = as_fraction(target)
     if not 0 <= goal <= 1:
         raise ValueError(f"target must be in [0,1], got {goal}")
@@ -343,7 +342,7 @@ def _generate_qam_bounded(s: int, m: int, k: int, error) -> QamInstance:
     """
     if s < 1 or m < 1 or k < 3:
         raise ValueError("qam-bounded needs s >= 1, m >= 1, k >= 3")
-    _check_width(m + k, exact=True)
+    check_width(m + k, exact=True)
     budget = as_fraction(error) * (1 << s)
     miss_quarters = min(2, int(budget * 4 // 1))
     if miss_quarters < 1:
@@ -376,7 +375,7 @@ def generate_instance(kind: str, seed: int, **params) -> Instance:
     if kind == "qma-random":
         m = int(params.get("m", 1))
         k = int(params.get("k", 2))
-        _check_width(m + k, exact=True)
+        check_width(m + k, exact=True)
         gates = _random_gates(rng, m + k, int(params.get("gates", 3 * (m + k))))
         return QmaInstance(
             verifier=circuit(m + k, gates), m=m, k=k, a=Fraction(3, 4), b=Fraction(1, 4)
@@ -392,7 +391,7 @@ def generate_instance(kind: str, seed: int, **params) -> Instance:
         s = int(params.get("s", 1))
         m = int(params.get("m", 1))
         k = int(params.get("k", 2))
-        _check_width(m + k, exact=True)
+        check_width(m + k, exact=True)
         family = {
             y: circuit(m + k, _random_gates(rng, m + k, int(params.get("gates", 3 * (m + k)))))
             for y in coin_strings(s)
@@ -401,7 +400,7 @@ def generate_instance(kind: str, seed: int, **params) -> Instance:
     if kind == "qip-perfect":
         k = int(params.get("k", 1))
         m = int(params.get("m", 1))
-        _check_width(k + m, exact=False)
+        check_width(k + m, exact=False)
         v1 = circuit(k + m, _random_gates(rng, k + m, int(params.get("gates", 8))))
         v2 = circuit(k + m, [*dagger(v1).gates, *x_gates(0)])
         return QipInstance(v1=v1, v2=v2, k=k, m=m, epsilon=Fraction(1))
@@ -411,7 +410,7 @@ def generate_instance(kind: str, seed: int, **params) -> Instance:
         coins = int(params.get("coins", 2))
         if coins and k < coins + 1:
             raise ValueError("qip-no needs k >= coins + 1")
-        _check_width(k + m, exact=False)
+        check_width(k + m, exact=False)
         gates: list[Gate] = [hadamard(q) for q in range(1, 1 + coins)]
         if coins:
             gates += multi_controlled_x_gates(list(range(1, 1 + coins)), 0, [k + m - 1])
@@ -425,20 +424,17 @@ def generate_instance(kind: str, seed: int, **params) -> Instance:
     raise ValueError(f"unknown kind {kind!r}; expected one of {GENERATOR_KINDS}")
 
 
-def _check_width(width: int, exact: bool) -> None:
-    cap = width_cap(exact)
-    if width > cap:
-        raise WidthCapError(f"width {width} exceeds cap {cap}")
-
-
 # --- experiment orchestration ---
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a protocol, an instance file, and a compute mode."""
+    """One experiment: an instance file and a compute mode.
 
-    protocol: str
+    The instance's type names its protocol; `run_experiment` checks the mode
+    and flags against that protocol's `MODE_FLAGS` entry after loading it.
+    """
+
     instance: str
     mode: str
     seed: int = 0
@@ -448,33 +444,32 @@ class ExperimentConfig:
     exact: bool = False
     out: Optional[str] = None
 
-    def __post_init__(self):
-        if self.protocol not in MODE_FLAGS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.mode not in MODE_FLAGS[self.protocol]:
+    def check(self, protocol: str) -> None:
+        """Reject a mode the protocol lacks, flags no run of the mode reads, and counts below 1."""
+        if self.mode not in MODE_FLAGS[protocol]:
             raise ValueError(
-                f"mode {self.mode!r} not valid for {self.protocol}; "
-                f"choose from {tuple(MODE_FLAGS[self.protocol])}"
+                f"mode {self.mode!r} not valid for {protocol}; "
+                f"choose from {tuple(MODE_FLAGS[protocol])}"
             )
         if self.mode == "sample" and self.seed is None:
             raise ValueError("sampling modes require a seed")
         counts = [name for name in ("reps", "copies", "restarts")
                   if getattr(self, name) is not None]
         flags = counts + ["exact"] * self.exact
-        readings = MODE_FLAGS[self.protocol][self.mode]
+        readings = MODE_FLAGS[protocol][self.mode]
         for name in flags:
             if not any(name in reading for reading in readings):
-                raise ValueError(f"{self.protocol} {self.mode} mode does not read {name}")
+                raise ValueError(f"{protocol} {self.mode} mode does not read {name}")
         if not any(set(flags) <= set(reading) for reading in readings):
             apart = " and ".join(f for f in flags if not all(f in r for r in readings))
-            raise ValueError(f"{self.protocol} {self.mode} mode does not read {apart} together")
+            raise ValueError(f"{protocol} {self.mode} mode does not read {apart} together")
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
-    def echo(self) -> dict:
+    def echo(self, protocol: str) -> dict:
         return {
-            "protocol": self.protocol,
+            "protocol": protocol,
             "instance": self.instance,
             "mode": self.mode,
             "seed": self.seed,
@@ -625,29 +620,30 @@ def _run_qmam(config: ExperimentConfig, base: QipInstance) -> tuple[dict, dict, 
     return values, residuals, checks, row
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Dispatch one config to its protocol module and assemble the report.
+# Each instance class's protocol tag and runner.
+_PROTOCOLS = {
+    QmaInstance: ("qma", _run_qma),
+    QamInstance: ("qam", _run_qam),
+    QipInstance: ("qmam", _run_qmam),
+}
 
-    The report echoes the config, records computed values and residuals, and
+
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Load the instance, run its protocol in the config's mode, and assemble the report.
+
+    The instance file is read once, and its type names the protocol.  The
+    mode and flags are checked against that protocol before any work.  The
+    report echoes the config, records computed values and residuals, and
     carries a checks map; the experiment counts as passing when every check
     is true.  When config.out is set the JSON is written atomically.
     """
     started = time.monotonic()
     inst = load_instance(config.instance)
-    expected = {"qma": QmaInstance, "qam": QamInstance, "qmam": QipInstance}[config.protocol]
-    if not isinstance(inst, expected):
-        raise SchemaError(
-            f"instance {config.instance} is {type(inst).__name__}, "
-            f"but protocol {config.protocol} was requested"
-        )
-    if config.protocol == "qma":
-        values, residuals, checks, row = _run_qma(config, inst)
-    elif config.protocol == "qam":
-        values, residuals, checks, row = _run_qam(config, inst)
-    else:
-        values, residuals, checks, row = _run_qmam(config, inst)
+    protocol, runner = _PROTOCOLS[type(inst)]
+    config.check(protocol)
+    values, residuals, checks, row = runner(config, inst)
     report = {
-        "config": config.echo(),
+        "config": config.echo(protocol),
         "values": values,
         "residuals": residuals,
         "checks": checks,

@@ -30,6 +30,9 @@ from .spectra import eig_hermitian
 
 DIRECT_OPT_QUBIT_CAP = 6
 _DENSITY_TOL = 1e-8
+# a see-saw start stops once one iteration gains at most this much
+_CHEAT_TOL = 1e-8  # the one-coin cheat search
+_CONFINED_TOL = 1e-10  # both max-acceptance routes and the Uhlmann bound
 
 
 # --- fidelity ---
@@ -343,7 +346,6 @@ def _seesaw_cheat(
 
 def optimize_cheating(
     target,
-    tol: float = 1e-8,
     max_iters: int = 500,
     restarts: int = 16,
     seed: int = 0,
@@ -368,7 +370,7 @@ def optimize_cheating(
     starts = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(restarts)]
     starts += [np.asarray(st.psi, dtype=np.complex128) for st in seeds or ()]
     u0 = [None] * restarts + [st.u_by_coin for st in seeds or ()]
-    values, converged, iterations, strategy = _seesaw_cheat(game, starts, u0, tol, max_iters)
+    values, converged, iterations, strategy = _seesaw_cheat(game, starts, u0, _CHEAT_TOL, max_iters)
     best = int(np.argmax(values))
     return OptimizationResult(
         float(values[best]), strategy(best), bool(converged[best]), int(iterations[best])
@@ -484,7 +486,6 @@ def _seesaw_confined(
 
 def max_accept_two_ways(
     base: QipInstance,
-    tol: float = 1e-10,
     max_iters: int = 2000,
     restarts: int = 12,
     seed: int = 0,
@@ -512,7 +513,9 @@ def max_accept_two_ways(
     rng = np.random.Generator(np.random.Philox(key=seed))
     eye = np.broadcast_to(np.eye(du, dtype=np.complex128), (restarts, du, du))
     psi0 = np.stack([rng.normal(size=du) + 1j * rng.normal(size=du) for _ in range(restarts)])
-    values, _, _, phis, us = _seesaw_confined(heads, tails, 1 << k, psi0, eye, tol, max_iters)
+    values, _, _, phis, us = _seesaw_confined(
+        heads, tails, 1 << k, psi0, eye, _CONFINED_TOL, max_iters
+    )
     best = int(np.argmax(values))
     # fidelity-form starts: one state step from the winner, and P_A w for w = P_B (random)
     ws = [rng.normal(size=du << k) + 1j * rng.normal(size=du << k) for _ in range(restarts)]
@@ -520,7 +523,7 @@ def max_accept_two_ways(
     states = np.concatenate([winner, np.reshape(ws, (-1, 1 << k, du))])
     u0 = np.concatenate([us[best : best + 1], eye])
     phi0 = _pull_back(tails, _project(heads, states, u0), u0)
-    fidelity_form = _seesaw_confined(heads, tails, 1 << k, phi0, u0, tol, max_iters)[0]
+    fidelity_form = _seesaw_confined(heads, tails, 1 << k, phi0, u0, _CONFINED_TOL, max_iters)[0]
     return float(values[best]), float(fidelity_form.max())
 
 
@@ -529,7 +532,6 @@ def uhlmann_bound_check(
     lambda1: np.ndarray,
     dim_v: int,
     dim_m: int,
-    tol: float = 1e-10,
     max_iters: int = 2000,
 ) -> tuple[float, float]:
     """Measured outcome-1 probability vs the reduced-state fidelity bound.
@@ -551,7 +553,9 @@ def uhlmann_bound_check(
     j_vec = purify(joint)  # on (work+message, mirror)
     pinned = np.ones((1, 1), dtype=np.complex128)
     eye = np.eye(dim_m * dim, dtype=np.complex128)[None]
-    values = _seesaw_confined(lambda1, j_vec[:, None], dim_v, pinned, eye, tol, max_iters)[0]
+    values = _seesaw_confined(
+        lambda1, j_vec[:, None], dim_v, pinned, eye, _CONFINED_TOL, max_iters
+    )[0]
     bound = float(values[0])
     if measured > bound + 1e-6:
         raise AssertionError(f"measured {measured} exceeds fidelity bound {bound}")

@@ -76,7 +76,7 @@ def _one_branch_enumerate(inst: QmaInstance, witness: list, n_events: int) -> di
                 if any(branch.amplitudes()):
                     nxt.append((z + (int(outcome == y_prev),), outcome, branch))
         branches = nxt
-    return {z: state.norm_sq().to_fraction() for z, _, state in branches}
+    return {z: state.norm_sq() for z, _, state in branches}
 
 
 def _gate_path_enumerate(inst: QmaInstance, witness: StateVector, n_events: int) -> dict:
@@ -93,7 +93,7 @@ def _gate_path_enumerate(inst: QmaInstance, witness: StateVector, n_events: int)
         z = np.column_stack([np.repeat(z, 2, axis=0), y == np.repeat(y_prev, 2)])
         live = state.live_columns()
         state, z, y_prev = state.select(live), z[live], y[live]
-    return {tuple(row): ns.to_fraction() for row, ns in zip(z.tolist(), state.norms_sq())}
+    return dict(zip(map(tuple, z.tolist()), state.norms_sq()))
 
 
 def _one_trajectory_reference(

@@ -1,6 +1,7 @@
 """Circuit parsing, gate semantics, macros, and exact/float agreement."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from qamg.circuits import (
     to_exact_columns,
     x_gates,
 )
-from qamg.exact import HALF, I_UNIT, INV_SQRT2, ONE, ZERO, ExactScalar
+from qamg.exact import I_UNIT, INV_SQRT2, ONE, ZERO, ExactScalar
 from qamg.spectra import acceptance_operator_exact
 
 INV_SQRT2_F = 1.0 / np.sqrt(2.0)
@@ -139,8 +140,8 @@ def test_dagger_of_ishift_is_three_ishifts():
 def test_measure_output_qubit_exact():
     st = apply_gates(StateVector.basis(1, 0, exact=True), [hadamard(0)])
     prob_one, post0, post1 = measure_projector(st, output_one_mask(1))
-    assert prob_one == HALF
-    assert post0.norm_sq() == HALF and post1.norm_sq() == HALF
+    assert prob_one == Fraction(1, 2)
+    assert post0.norm_sq() == Fraction(1, 2) and post1.norm_sq() == Fraction(1, 2)
     assert post1.amplitude(0) == ZERO
 
 
@@ -151,8 +152,8 @@ def test_measure_workspace_zero():
     amps[0b100] = ExactScalar(0, 0, 1, 0, 1)
     st = StateVector.from_amplitudes(amps, exact=True)
     prob_one, post0, post1 = measure_projector(st, suffix_zero_mask(3, 2))
-    assert prob_one == ONE
-    assert post0.norm_sq() == ZERO
+    assert prob_one == 1
+    assert post0.norm_sq() == 0
 
 
 def test_measure_float_renormalizes_and_flags_dead_branch():
@@ -175,7 +176,7 @@ def test_register_convention_against_bit_strings():
             assert prefix_zero_mask(n, k).tolist() == [b[:k] == "0" * k for b in bits]
             # message j is the top n - k bits over a zero workspace
             rows = [i for i, b in enumerate(bits) if b[n - k:] == "0" * k]
-            assert message_rows(n - k, k).tolist() == rows
+            assert list(message_rows(n - k, k)) == rows
 
 
 def test_register_masks_reject_out_of_range():
@@ -261,7 +262,7 @@ def test_norm_preserved_exactly():
         width = rng.randint(1, 4)
         c = _random_circuit(rng, width, 60)
         st = apply_circuit(StateVector.basis(width, 0, exact=True), c)
-        assert st.norm_sq() == ONE
+        assert st.norm_sq() == 1
 
 
 def test_int64_planes_widen_before_overflow():
@@ -269,7 +270,7 @@ def test_int64_planes_widen_before_overflow():
     st = StateVector.basis(1, 0, exact=True)
     for _ in range(41):
         st.apply_gate(hadamard(0))
-    assert st.norm_sq() == ONE
+    assert st.norm_sq() == 1
     amp = st.amplitude(0)
     val, bound = amp.approx(40)
     assert abs(val - INV_SQRT2_F) <= bound + 1e-12
@@ -286,6 +287,26 @@ def test_width_cap_enforced(monkeypatch):
     assert st14.n == 11
     with pytest.raises(WidthCapError):
         StateVector.basis(11, 0, exact=True)
+
+
+def test_width_cap_checked_before_any_allocation():
+    # a 2^70-row block cannot be allocated, so reaching np.zeros would fail otherwise
+    for exact in (False, True):
+        with pytest.raises(WidthCapError):
+            StateVector.columns(70, [0], exact)
+        with pytest.raises(WidthCapError):
+            StateVector.columns(70, message_rows(70, 0), exact)
+
+
+def test_exact_norms_are_fractions():
+    st = apply_gates(StateVector.columns(2, [0, 1, 3], exact=True), [hadamard(0), hadamard(1)])
+    assert st.norms_sq() == [1, 1, 1]
+    assert all(type(ns) is Fraction for ns in st.norms_sq())
+    assert st.project(output_one_mask(2)).norms_sq() == [Fraction(1, 2)] * 3
+    # (1 + sqrt2)/2 has squared norm (3 + 2 sqrt2)/4, which is not rational
+    lopsided = StateVector.from_amplitudes([ExactScalar(1, 0, 1, 0, 1), ZERO], exact=True)
+    with pytest.raises(ValueError, match="sqrt"):
+        lopsided.norm_sq()
 
 
 def test_circuit_width_mismatch_errors():

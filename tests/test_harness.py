@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import importlib.util
+import io
 import json
 import os
 import sys
@@ -217,18 +219,15 @@ class TestGenerators:
 
 
 class TestExperimentConfig:
-    def test_rejects_unknown_protocol(self):
-        with pytest.raises(ValueError, match="protocol"):
-            ExperimentConfig(protocol="bqp", instance="x.json", mode="analytic")
+    def test_rejects_invalid_mode_for_protocol(self, tmp_path):
+        path = _saved(tmp_path, "qip-no", **KIND_PARAMS["qip-no"])
+        with pytest.raises(ValueError, match="mode 'enumerate' not valid for qmam"):
+            run_experiment(ExperimentConfig(instance=path, mode="enumerate"))
 
-    def test_rejects_invalid_mode_for_protocol(self):
-        with pytest.raises(ValueError, match="mode"):
-            ExperimentConfig(protocol="qmam", instance="x.json", mode="enumerate")
-
-    def test_echo_shape(self):
-        config = ExperimentConfig(protocol="qma", instance="x.json", mode="analytic", reps=4)
-        echo = config.echo()
-        assert echo["protocol"] == "qma"
+    def test_echo_shape(self, tmp_path):
+        path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
+        echo = run_experiment(ExperimentConfig(instance=path, mode="analytic", reps=4))["config"]
+        assert echo["protocol"] == "qma"  # named by the instance's type
         assert echo["reps"] == 4
         assert set(echo) == {
             "protocol", "instance", "mode", "seed", "reps", "copies", "restarts", "exact",
@@ -244,7 +243,7 @@ def _saved(tmp_path, kind, seed=0, name="inst.json", **params):
 class TestRunExperiment:
     def test_qma_enumerate_report(self, tmp_path):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
-        config = ExperimentConfig(protocol="qma", instance=path, mode="enumerate", reps=6)
+        config = ExperimentConfig(instance=path, mode="enumerate", reps=6)
         report = run_experiment(config)
         assert report["passed"]
         assert report["rng"] == RNG_NAME
@@ -254,22 +253,16 @@ class TestRunExperiment:
 
     def test_deterministic_modulo_wall_clock(self, tmp_path):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
-        config = ExperimentConfig(protocol="qma", instance=path, mode="sample", seed=11, reps=8)
+        config = ExperimentConfig(instance=path, mode="sample", seed=11, reps=8)
         r1 = run_experiment(config)
         r2 = run_experiment(config)
         r1.pop("wall_clock_seconds")
         r2.pop("wall_clock_seconds")
         assert r1 == r2
 
-    def test_protocol_instance_mismatch(self, tmp_path):
-        path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
-        config = ExperimentConfig(protocol="qam", instance=path, mode="analytic")
-        with pytest.raises(SchemaError, match="protocol"):
-            run_experiment(config)
-
     def test_qma_copies_row(self, tmp_path):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
-        config = ExperimentConfig(protocol="qma", instance=path, mode="analytic", copies=3)
+        config = ExperimentConfig(instance=path, mode="analytic", copies=3)
         report = run_experiment(config)
         assert report["table_row"]["N_or_t"] == 3
         assert report["table_row"]["message_qubits"] == 3
@@ -279,9 +272,7 @@ class TestRunExperiment:
     def test_qma_exact_certificate(self, tmp_path):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
         inst = load_instance(path)
-        config = ExperimentConfig(
-            protocol="qma", instance=path, mode="analytic", reps=4, exact=True
-        )
+        config = ExperimentConfig(instance=path, mode="analytic", reps=4, exact=True)
         report = run_experiment(config)
         cert = counting_certificate(inst)
         assert report["values"]["certificate"] == {"h": cert.h, "g": cert.g}
@@ -289,7 +280,7 @@ class TestRunExperiment:
 
     def test_qma_analytic_report_checks_its_value(self, tmp_path, monkeypatch):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
-        config = ExperimentConfig(protocol="qma", instance=path, mode="analytic", reps=4)
+        config = ExperimentConfig(instance=path, mode="analytic", reps=4)
         report = run_experiment(config)
         assert report["checks"] == {"analytic_is_probability": True}
         assert report["passed"]
@@ -300,7 +291,7 @@ class TestRunExperiment:
 
     def test_qam_analytic_repetition(self, tmp_path):
         path = _saved(tmp_path, "qam-bounded", name="qam.json", s=2, m=1, k=3, error="1/10")
-        config = ExperimentConfig(protocol="qam", instance=path, mode="analytic", reps=2)
+        config = ExperimentConfig(instance=path, mode="analytic", reps=2)
         report = run_experiment(config)
         assert report["passed"]
         assert report["residuals"]["repetition_vs_independent"] < 1e-9
@@ -308,7 +299,7 @@ class TestRunExperiment:
 
     def test_qam_enumerate_markov(self, tmp_path):
         path = _saved(tmp_path, "qam-bounded", name="qam.json", s=2, m=1, k=3, error="1/10")
-        config = ExperimentConfig(protocol="qam", instance=path, mode="enumerate")
+        config = ExperimentConfig(instance=path, mode="enumerate")
         report = run_experiment(config)
         assert report["passed"]
         assert report["values"]["exhaustive"]
@@ -316,7 +307,7 @@ class TestRunExperiment:
 
     def test_qmam_analytic_honest(self, tmp_path):
         path = _saved(tmp_path, "qip-perfect", name="qip.json", k=1, m=1, gates=5)
-        config = ExperimentConfig(protocol="qmam", instance=path, mode="analytic")
+        config = ExperimentConfig(instance=path, mode="analytic")
         report = run_experiment(config)
         assert report["passed"]
         assert abs(report["values"]["honest_value"] - 1.0) <= 1e-9
@@ -324,9 +315,7 @@ class TestRunExperiment:
 
     def test_qmam_sample_cheat(self, tmp_path):
         path = _saved(tmp_path, "qip-no", name="qip.json", k=1, m=1, coins=0)
-        config = ExperimentConfig(
-            protocol="qmam", instance=path, mode="sample", seed=0, restarts=2
-        )
+        config = ExperimentConfig(instance=path, mode="sample", seed=0, restarts=2)
         report = run_experiment(config)
         assert report["passed"]
         assert abs(report["values"]["cheat_value"] - 0.5) <= 1e-6
@@ -335,9 +324,7 @@ class TestRunExperiment:
     def test_out_file_matches_return(self, tmp_path):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
         out = tmp_path / "report.json"
-        config = ExperimentConfig(
-            protocol="qma", instance=path, mode="analytic", reps=4, out=str(out)
-        )
+        config = ExperimentConfig(instance=path, mode="analytic", reps=4, out=str(out))
         report = run_experiment(config)
         assert json.loads(out.read_text()) == report
 
@@ -346,7 +333,7 @@ class TestRunBatch:
     def test_reports_in_input_order(self, tmp_path):
         path = _saved(tmp_path, "qma-p", target="1/2", m=1, k=2)
         configs = [
-            ExperimentConfig(protocol="qma", instance=path, mode="analytic", reps=r)
+            ExperimentConfig(instance=path, mode="analytic", reps=r)
             for r in (2, 4, 6)
         ]
         reports = run_batch(configs)
@@ -553,6 +540,48 @@ class TestCli:
         qam = _saved(tmp_path, "qam-random", **KIND_PARAMS["qam-random"])
         assert main(["run", "--instance", qam, "--mode", "sample"]) == 2
         assert "not valid for qam" in capsys.readouterr().err
+
+    def test_run_reads_its_instance_once(self, tmp_path, monkeypatch):
+        path = _saved(tmp_path, "qma-p", **KIND_PARAMS["qma-p"])
+        loads, opens = [], []
+        load, real_open = harness.load_instance, builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_instance", lambda p: loads.append(p) or load(p))
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        assert main(["run", "--instance", path, "--mode", "analytic", "--reps", "4"]) == 0
+        assert loads == [path]
+        assert [os.fspath(f) for f in opens if isinstance(f, (str, os.PathLike))].count(path) == 1
+
+    # each input is bad in exactly one way, except the last, which is bad in two
+    @pytest.mark.parametrize("name, data, options, code", [
+        ("missing file", None, ("--mode", "analytic"), 3),
+        ("missing file, count below 1", None, ("--mode", "analytic", "--reps", "0"), 3),
+        ("bad JSON", "{not json", ("--mode", "analytic"), 4),
+        ("unknown type", {"type": "bpp"}, ("--mode", "analytic"), 4),
+        ("malformed field", {"m": 1.9}, ("--mode", "analytic"), 4),
+        ("unread flag", {}, ("--mode", "enumerate", "--restarts", "4"), 2),
+        ("count below 1", {}, ("--mode", "analytic", "--reps", "0"), 2),
+        ("work cap", {}, ("--mode", "enumerate", "--reps", "21"), 5),
+        # no 2^70 array or 2^70 message rows may be built before the cap check
+        ("width cap", {"m": 70, "k": 0, "circuit": "qubits 70\n"}, ("--mode", "analytic"), 5),
+        # the instance is loaded before its flags are read, so the schema error wins
+        ("malformed field and unread flag", {"m": 1.9},
+         ("--mode", "enumerate", "--restarts", "4"), 4),
+    ])
+    def test_input_bad_in_one_way(self, tmp_path, capsys, name, data, options, code):
+        path = tmp_path / "inst.json"
+        if isinstance(data, str):
+            path.write_text(data)
+        elif isinstance(data, dict):
+            base = instance_to_dict(generate_instance("qma-p", seed=0, **KIND_PARAMS["qma-p"]))
+            path.write_text(json.dumps(data if "type" in data else dict(base, **data)))
+        assert main(["run", "--instance", str(path), *options]) == code, name
+        capsys.readouterr()
 
     def test_table_empty_dir_gives_header(self, tmp_path):
         csv = tmp_path / "empty.csv"
