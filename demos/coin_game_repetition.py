@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from qamg import (
-    coin_spectra,
     generate_instance,
     markov_check,
     multilinear_f,
@@ -34,13 +33,13 @@ from qamg.qam import markov_fractions
 
 # %% A small random two-coin game.
 inst = generate_instance("qam-random", seed=7, s=1, m=1, k=2, gates=9)
-spectra = coin_spectra(inst)
 print("coin game: s = %d coin, m = %d, k = %d, thresholds a = %s, b = %s"
       % (inst.s, inst.m, inst.k, inst.a, inst.b))
+# Fixing the coin leaves a one-message verifier; its spectrum is clamped to [0, 1].
 for y in inst.coins():
-    top = spectra[y].accept[0]
+    accept = inst.coin_verifier(y).spectrum.eigenvalues
     print("  coin %s: acceptance spectrum %s, best reply %.9f"
-          % (y, np.round(spectra[y].accept, 9), top))
+          % (y, np.round(accept, 9), accept[0]))
 print("optimal single-round value =", optimal_qam_value(inst))
 
 # %% Parallel repetition: for every announced coin tuple, the top
@@ -53,8 +52,8 @@ for n in (2, 3):
     for ys in itertools.product(inst.coins(), repeat=n):
         joint, independent = parallel_repetition_value(inst, n, ys)
         worst = max(worst, abs(joint - independent))
-        singles = [float(spectra[y].accept[0]) for y in ys]
-        f_val = multilinear_f([min(1.0, max(0.0, p)) for p in singles], t0)
+        singles = [float(inst.coin_verifier(y).spectrum.eigenvalues[0]) for y in ys]
+        f_val = multilinear_f(singles, t0)
         assert abs(joint - f_val) < 1e-9
     print("n = %d: max |joint - independent| over all %d coin tuples = %.3e"
           % (n, (1 << inst.s) ** n, worst))

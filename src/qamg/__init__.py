@@ -24,7 +24,6 @@ from .spectra import (
     acceptance_operator_exact,
     acceptance_spectrum,
     eig_hermitian,
-    max_acceptance,
     partial_trace,
 )
 from .amplification import (
@@ -41,7 +40,6 @@ from .amplification import (
 )
 from .qam import (
     QamInstance,
-    coin_spectra,
     markov_check,
     multilinear_f,
     optimal_qam_value,

@@ -23,6 +23,7 @@ from .circuits import (
     Circuit,
     StateVector,
     apply_circuit,
+    check_width,
     dagger,
     exact_unitary,
     message_rows,
@@ -31,7 +32,13 @@ from .circuits import (
     to_unitary,
 )
 from .exact import ExactScalar, plane_adjoint, plane_matmul, planes_from_scalars
-from .spectra import acceptance_operator, acceptance_operator_exact, accepted_columns_exact
+from .spectra import (
+    SpectralDecomposition,
+    acceptance_operator,
+    acceptance_operator_exact,
+    acceptance_spectrum,
+    accepted_columns_exact,
+)
 
 ENUMERATE_EVENT_CAP = 20
 _CERT_EXPONENT_CAP = 100_000
@@ -88,6 +95,15 @@ class QmaInstance:
     def q_operator(self) -> np.ndarray:
         """Float acceptance operator, built on first use; shared, so read-only."""
         return self._q_float
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """Eigensystem of q_operator(), eigenvalues clamped to [0, 1], solved on
+        first use; shared, so read-only."""
+        decomp = acceptance_spectrum(self.q_operator())
+        decomp.eigenvalues.flags.writeable = False
+        decomp.vectors.flags.writeable = False
+        return decomp
 
     @cached_property
     def unitary(self) -> np.ndarray:
@@ -226,6 +242,7 @@ def run_alternating_measurements(
     """
     if n_events < 1:
         raise ValueError("need at least one measurement event")
+    check_width(inst.verifier.width, exact=witness.exact and mode == "enumerate")
     _check_normalized(witness)
     threshold = threshold_count(n_events, inst.a, inst.b)
     forward = inst.verifier

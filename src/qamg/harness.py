@@ -47,9 +47,8 @@ from .circuits import (
     toffoli,
     x_gates,
 )
-from .qam import QamInstance, coin_spectra, coin_strings, markov_check, parallel_repetition_values
+from .qam import QamInstance, coin_strings, markov_check, parallel_repetition_values
 from .qmam import QipInstance, honest_value, optimize_cheating, soundness_bound
-from .spectra import acceptance_spectrum
 
 RNG_NAME = "philox-4x64-counter"
 
@@ -324,7 +323,7 @@ def _generate_qma_p(target, m: int, k: int) -> QmaInstance:
     verifier = _dyadic_hit_circuit(m + k, coin_qubits, count, borrow=m + d)
     inst = QmaInstance(verifier=verifier, m=m, k=k, a=Fraction(3, 4), b=Fraction(1, 4))
     realized = Fraction(max(count, (1 << d) - count), 1 << d)
-    top = float(acceptance_spectrum(inst.q_operator()).eigenvalues[0])
+    top = float(inst.spectrum.eigenvalues[0])
     if abs(top - float(realized)) > 1e-9:
         raise AssertionError(f"realized spectrum {top} != declared {realized}")
     if realized == 1:
@@ -480,13 +479,6 @@ class ExperimentConfig:
         }
 
 
-def _top_witness(inst: QmaInstance) -> tuple[float, StateVector]:
-    decomp = acceptance_spectrum(inst.q_operator())
-    top = float(decomp.eigenvalues[0])
-    vec = decomp.vectors[:, 0]
-    return top, StateVector.from_amplitudes([complex(x) for x in vec])
-
-
 def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, dict, dict]:
     n_events = config.reps if config.reps is not None else 8 * inst.gap_q**2
     cap = QMA_EVENT_CAPS.get(config.mode)
@@ -494,7 +486,8 @@ def _run_qma(config: ExperimentConfig, inst: QmaInstance) -> tuple[dict, dict, d
         raise WorkCapError(f"{config.mode} mode capped at {cap} events, got {n_events}")
     if config.copies is not None and config.copies > QMA_COPIES_CAP:
         raise WorkCapError(f"copies capped at {QMA_COPIES_CAP}, got {config.copies}")
-    top, witness = _top_witness(inst)
+    top = float(inst.spectrum.eigenvalues[0])
+    witness = StateVector.from_amplitudes([complex(x) for x in inst.spectrum.vectors[:, 0]])
     values: dict = {"top_eigenvalue": top, "gap_q": inst.gap_q}
     residuals: dict = {}
     checks: dict = {}
@@ -555,12 +548,12 @@ def _run_qam(config: ExperimentConfig, inst: QamInstance) -> tuple[dict, dict, d
             f"analytic mode capped at 2^{QAM_TUPLE_CAP_BITS} coin tuples, "
             f"got 2^({inst.s}*{n})"
         )
-    spectra = coin_spectra(inst)  # also enforces the exact complement identity
-    mu = {y: float(spectra[y].accept[0]) for y in inst.coins()}
+    gap = inst.complement_gap()
+    mu = {y: float(inst.coin_verifier(y).spectrum.eigenvalues[0]) for y in inst.coins()}
     expected_error = 1.0 - sum(mu.values()) / len(mu)
     values: dict = {"mu_by_coin": mu, "expected_error": expected_error}
-    residuals: dict = {}
-    checks: dict = {"complement_identity": True}
+    residuals: dict = {"complement_gap": gap}
+    checks: dict = {"complement_identity": gap <= 1e-12}
     if config.mode == "analytic":
         lams, independent = parallel_repetition_values(inst, n)
         worst = float(np.abs(lams - independent).max())

@@ -9,7 +9,7 @@ reduce the accept/reject promise to integer comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -26,12 +26,7 @@ from .amplification import (
     threshold_count,
 )
 from .circuits import Gate, StateVector, apply_circuit, circuit
-from .spectra import (
-    SpectralDecomposition,
-    acceptance_operator,
-    eig_hermitian,
-    rejection_operator,
-)
+from .spectra import eig_hermitian, rejection_operator
 
 REPEATED_GAME_QUBIT_CAP = 12
 _REPETITION_BATCH_ENTRIES = 1 << 20  # matrix entries per stacked repetition eigensolve
@@ -74,57 +69,28 @@ class QamInstance:
         return coin_strings(self.s)
 
     @cached_property
-    def _spectra(self) -> dict:
-        # circuit -> (operator, spectrum); coins with equal circuits share one entry
-        return {}
+    def _verifiers(self) -> dict:
+        # circuit -> QmaInstance; coins with equal circuits share one verifier
+        return {circ: QmaInstance(circ, self.m, self.k, self.a, self.b)
+                for circ in self.family.values()}
 
-    def coin_spectrum(self, y: str) -> tuple[np.ndarray, SpectralDecomposition]:
-        """Coin y's acceptance operator and its eigensystem, built on first use.
+    def coin_verifier(self, y: str) -> QmaInstance:
+        """Coin y's one-message verifier, with the game's arities and thresholds.
 
-        Both live as long as the instance and are shared by every caller, so
-        the arrays are read-only.
+        Fixing the coins leaves a QMA verifier, so its operator and clamped
+        spectrum are the `QmaInstance` ones, built on first use and shared
+        by every coin with the same circuit.
         """
-        circ = self.family[y]
-        entry = self._spectra.get(circ)
-        if entry is None:
-            q = acceptance_operator(circ, self.m, self.k)
-            decomp = eig_hermitian(q)
-            for arr in (q, decomp.eigenvalues, decomp.vectors):
-                arr.flags.writeable = False
-            entry = self._spectra[circ] = (q, decomp)
-        return entry
+        return self._verifiers[self.family[y]]
 
-
-@dataclass(frozen=True)
-class CoinSpectrum:
-    """Eigenvalues of one coin's acceptance operator, descending."""
-
-    coin: str
-    accept: np.ndarray
-    reject: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        if np.abs(self.accept + self.reject - 1.0).max() > 1e-9:
-            raise ValueError("acceptance and rejection eigenvalues must sum to 1")
-
-
-def coin_spectra(inst: QamInstance) -> dict:
-    """Per-coin spectral decompositions with the complement-sums-to-identity check."""
-    out = {}
-    checked = set()
-    for y in inst.coins():
-        circ = inst.family[y]
-        q1, decomp = inst.coin_spectrum(y)
-        if circ not in checked:
-            checked.add(circ)
-            q0 = rejection_operator(circ, inst.m, inst.k)
-            gap = np.abs(q0 + q1 - np.eye(1 << inst.m)).max()
-            if gap > 1e-12:
-                raise AssertionError(f"coin {y!r}: Q0 + Q1 deviates from I by {gap}")
-        vals = np.clip(decomp.eigenvalues, 0.0, 1.0)
-        out[y] = CoinSpectrum(y, vals, 1.0 - vals, decomp.vectors)
-    return out
+    def complement_gap(self) -> float:
+        """Largest entry of |Q0 + Q1 - I| over the distinct coin circuits."""
+        eye = np.eye(1 << self.m)
+        gaps = (
+            np.abs(rejection_operator(circ, self.m, self.k) + verifier.q_operator() - eye).max()
+            for circ, verifier in self._verifiers.items()
+        )
+        return float(max(gaps))
 
 
 def _witness_vec(w) -> np.ndarray:
@@ -143,15 +109,15 @@ def qam_value(inst: QamInstance, strategy: dict) -> float:
         if y not in strategy:
             raise KeyError(f"strategy missing coin {y!r}")
         psi = _witness_vec(strategy[y])
-        q, _ = inst.coin_spectrum(y)
+        q = inst.coin_verifier(y).q_operator()
         total += float(np.real(psi.conj() @ q @ psi))
     return total / (1 << inst.s)
 
 
 def optimal_qam_value(inst: QamInstance) -> float:
     """Coin-average of per-coin top eigenvalues (best possible Merlin)."""
-    spectra = coin_spectra(inst)
-    return float(sum(spectra[y].accept[0] for y in inst.coins())) / (1 << inst.s)
+    tops = (inst.coin_verifier(y).spectrum.eigenvalues[0] for y in inst.coins())
+    return float(sum(tops)) / (1 << inst.s)
 
 
 def multilinear_f(p_values: Sequence[Rational], threshold: Rational):
@@ -200,8 +166,10 @@ def parallel_repetition_values(
     unknown = [y for y in used if y not in inst.family]
     if unknown:
         raise KeyError(f"unknown coin string {unknown[0]!r}")
-    spectra = [inst.coin_spectrum(y) for y in used]
-    outcome_ops = np.stack([(np.eye(1 << inst.m) - q1, q1) for q1, _ in spectra])  # [coin, z]
+    verifiers = [inst.coin_verifier(y) for y in used]
+    outcome_ops = np.stack(  # [coin, z]
+        [(np.eye(1 << inst.m) - v.q_operator(), v.q_operator()) for v in verifiers]
+    )
     rows = rows.reshape(len(y_tuples), n)
     t0 = threshold_count(n, inst.a, inst.b)
     accepted = [z for z in product((0, 1), repeat=n) if sum(z) >= t0]
@@ -216,7 +184,8 @@ def parallel_repetition_values(
                 term = kron.reshape(len(chunk), kron.shape[1] * kron.shape[2], -1)
             total = total + term
         lams.append(eig_hermitian(total).eigenvalues[:, 0])
-    indep = [float(multilinear_f([spectra[i][1].eigenvalues[0] for i in row], t0)) for row in rows]
+    tops = [v.spectrum.eigenvalues[0] for v in verifiers]
+    indep = [float(multilinear_f([tops[i] for i in row], t0)) for row in rows]
     return np.concatenate(lams), np.array(indep)
 
 
@@ -322,18 +291,9 @@ def markov_check(inst: QamInstance, truth: str, seed: int = 0) -> MarkovReport:
         rng = np.random.Generator(np.random.Philox(key=seed))
         picks = rng.integers(0, 1 << inst.s, size=64 * inst.s)
         coins = [format(int(p), f"0{inst.s}b") for p in picks]
-    mu = {}
-    for y in coins:
-        mu[y] = float(np.clip(inst.coin_spectrum(y)[1].eigenvalues[0], 0.0, 1.0))
+    mu = {y: float(inst.coin_verifier(y).spectrum.eigenvalues[0]) for y in coins}
     report = markov_fractions(list(mu.values()), truth, tol=1e-9)
-    return MarkovReport(
-        report.fraction_good,
-        report.passes,
-        report.precondition_ok,
-        report.expected_error,
-        mu,
-        exhaustive,
-    )
+    return replace(report, mu_by_coin=mu, exhaustive=exhaustive)
 
 
 @dataclass(frozen=True)
@@ -356,11 +316,9 @@ def bp_pp_conditions(inst: QamInstance) -> list[CoinCertificateRow]:
     rows = []
     r = inst.m + 2
     for y in inst.coins():
-        mu = float(np.clip(inst.coin_spectrum(y)[1].eigenvalues[0], 0.0, 1.0))
-        coin_inst = QmaInstance(
-            inst.family[y], inst.m, inst.k, Fraction(2, 3), Fraction(1, 3)
-        )
-        cert = amplified_counting_certificate(coin_inst, r)
+        coin = inst.coin_verifier(y)
+        mu = float(coin.spectrum.eigenvalues[0])
+        cert = amplified_counting_certificate(replace(coin, a=Fraction(2, 3), b=Fraction(1, 3)), r)
         in_k = 2 * cert.h >= 2**cert.g
         indeterminate = (1 / 3 + _INDETERMINATE_TOL) < mu < (2 / 3 - _INDETERMINATE_TOL)
         rows.append(CoinCertificateRow(y, mu, cert, in_k, indeterminate))

@@ -110,15 +110,6 @@ def _check_arities(verifier: Circuit, m: int, k: int) -> None:
         )
 
 
-def max_acceptance(q: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top acceptance probability and an optimal witness for an acceptance operator."""
-    decomp = eig_hermitian(q)
-    p1 = float(decomp.eigenvalues[0])
-    if p1 < -_CLAMP_TOL or p1 > 1.0 + _CLAMP_TOL:
-        raise ValueError(f"top eigenvalue {p1} outside [0,1] beyond tolerance")
-    return min(1.0, max(0.0, p1)), decomp.vectors[:, 0].copy()
-
-
 def acceptance_spectrum(q: np.ndarray) -> SpectralDecomposition:
     """Full spectrum of an acceptance operator, eigenvalues clamped to [0,1]."""
     decomp = eig_hermitian(q)

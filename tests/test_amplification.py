@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qamg.circuits import (
     StateVector,
+    WidthCapError,
     apply_circuit,
     circuit,
     cnot_gates,
@@ -241,6 +242,28 @@ class TestRunAlternatingMeasurements:
             (1,) * 6: Fraction(1, 2),
             (0,) * 6: Fraction(1, 2),
         }
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_width_cap_checked_before_any_allocation(self, mode, exact, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("a 2^width array was built before the width check")
+
+        for name in ("output_one_mask", "suffix_zero_mask", "_embed_witness"):
+            monkeypatch.setattr(amplification, name, no_alloc)
+        inst = QmaInstance(circuit(41), 1, 40, Fraction(3, 4), Fraction(1, 4))
+        witness = StateVector.basis(1, 0, exact=exact)
+        with pytest.raises(WidthCapError, match="width 41"):
+            run_alternating_measurements(inst, witness, 4, mode=mode)
+
+    def test_width_cap_follows_the_mode_that_runs(self):
+        # width 11 is past the exact cap (10) but not the float cap (14); sample runs in float
+        inst = QmaInstance(circuit(11), 1, 10, Fraction(3, 4), Fraction(1, 4))
+        witness = StateVector.basis(1, 1, exact=True)
+        z, accepted = run_alternating_measurements(inst, witness, 4, mode="sample", draws=2)
+        assert z.tolist() == [[1, 1, 1, 1]] * 2 and accepted.all()
+        with pytest.raises(WidthCapError, match="exact cap"):
+            run_alternating_measurements(inst, witness, 4)
 
     def test_matches_brute_force_tree(self):
         rng = np.random.default_rng(41)

@@ -16,7 +16,8 @@ import pytest
 
 import qamg.cli as cli
 import qamg.harness as harness
-from qamg.amplification import counting_certificate
+import qamg.qam as qam
+from qamg.amplification import QmaInstance, counting_certificate
 from qamg.circuits import WidthCapError
 from qamg.cli import main
 from qamg.harness import (
@@ -37,9 +38,7 @@ from qamg.harness import (
     save_instance,
     write_atomic,
 )
-from qamg.qam import coin_spectra
 from qamg.qmam import honest_value
-from qamg.spectra import acceptance_spectrum
 
 # One compact parameter set per generator kind, small enough for fast tests.
 KIND_PARAMS = {
@@ -174,7 +173,7 @@ class TestGenerators:
     @pytest.mark.parametrize("target", ["1/2", "3/8", "5/16", "1", "0"])
     def test_qma_p_declares_realized_spectrum(self, target):
         inst = generate_instance("qma-p", seed=0, target=target, m=1, k=3)
-        top = float(acceptance_spectrum(inst.q_operator()).eigenvalues[0])
+        top = float(inst.spectrum.eigenvalues[0])
         assert abs(top - float(inst.a)) <= 1e-9
         assert inst.b == (Fraction(1, 2) if inst.a == 1 else inst.a / 2)
 
@@ -188,8 +187,7 @@ class TestGenerators:
 
     def test_qam_bounded_meets_error_budget(self):
         inst = generate_instance("qam-bounded", seed=0, s=3, m=1, k=3, error="1/20")
-        spectra = coin_spectra(inst)
-        mu = [float(spectra[y].accept[0]) for y in inst.coins()]
+        mu = [float(inst.coin_verifier(y).spectrum.eigenvalues[0]) for y in inst.coins()]
         assert len(mu) == 8
         assert 1.0 - sum(mu) / len(mu) <= 1 / 20
         assert min(mu) >= 2 / 3  # every coin individually passes the Markov cut
@@ -295,6 +293,7 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report["passed"]
         assert report["residuals"]["repetition_vs_independent"] < 1e-9
+        assert report["residuals"]["complement_gap"] <= 1e-12
         assert report["table_row"]["error"] <= 1 / 10
 
     def test_qam_enumerate_markov(self, tmp_path):
@@ -304,6 +303,7 @@ class TestRunExperiment:
         assert report["passed"]
         assert report["values"]["exhaustive"]
         assert report["values"]["precondition_ok"]
+        assert report["residuals"]["complement_gap"] <= 1e-12
 
     def test_qmam_analytic_honest(self, tmp_path):
         path = _saved(tmp_path, "qip-perfect", name="qip.json", k=1, m=1, gates=5)
@@ -418,6 +418,35 @@ class TestCli:
                      "--restarts", "4", "--seed", "0"])
         assert code == 1
 
+    def test_qam_top_eigenvalue_rounding_above_one(self, tmp_path, capsys):
+        # coin "0" of this file has a top eigenvalue that rounds to 1 + 2e-16
+        path = str(tmp_path / "s23.json")
+        assert main(["gen", "--kind", "qam-random", "--seed", "23", "--s", "1", "--m", "3",
+                     "--k", "2", "--gates", "12", "--out", path]) == 0
+        reports = {}
+        for mode in ("analytic", "enumerate"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["run", "--instance", path, "--mode", mode, "--out", str(out)]) == 0
+            reports[mode] = json.loads(out.read_text())
+        mu = reports["analytic"]["values"]["mu_by_coin"]
+        assert mu == reports["enumerate"]["values"]["mu_by_coin"]
+        assert max(mu.values()) == 1.0
+        capsys.readouterr()
+
+    def test_complement_gap_is_a_report_check(self, tmp_path, capsys):
+        # 20000 random gates leave Q0 + Q1 about 1e-12 from I, near the check's
+        # tolerance, so the outcome is not pinned: only that the check decides it
+        path = str(tmp_path / "deep.json")
+        assert main(["gen", "--kind", "qam-random", "--seed", "1", "--s", "1", "--m", "2",
+                     "--k", "3", "--gates", "20000", "--out", path]) == 0
+        out = tmp_path / "report.json"
+        code = main(["run", "--instance", path, "--mode", "enumerate", "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        gap = report["residuals"]["complement_gap"]
+        assert report["checks"]["complement_identity"] == (gap <= 1e-12)
+        assert code == (1 if gap > 1e-12 else 0)
+
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         assert main(["gen", "--kind", "nonsense", "--out", "x.json"]) == 2
         assert main(["run", "--instance", "x.json", "--mode", "enumerate",
@@ -456,9 +485,11 @@ class TestCli:
         def no_work(*args, **kwargs):
             raise AssertionError("the run must be rejected before any work")
 
-        # a run that got as far as its first eigensolve or unitary expansion raises here
-        for name in ("_top_witness", "coin_spectra", "honest_value"):
-            monkeypatch.setattr(harness, name, no_work)
+        # a run that got as far as its first operator build, eigensolve or unitary
+        # expansion raises here: every qma or qam eigensolve reads q_operator() first
+        monkeypatch.setattr(QmaInstance, "q_operator", no_work)
+        monkeypatch.setattr(qam, "rejection_operator", no_work)
+        monkeypatch.setattr(harness, "honest_value", no_work)
 
     def test_work_caps_exit_five(self, tmp_path, capsys, monkeypatch):
         qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])

@@ -13,6 +13,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qamg.circuits import (
     StateVector,
@@ -27,11 +29,12 @@ from qamg.circuits import (
     x_gates,
     cnot_gates,
 )
+import qamg.amplification as amplification
+import qamg.qam as qam
+from qamg.harness import generate_instance
 from qamg.qam import (
-    CoinSpectrum,
     QamInstance,
     bp_pp_conditions,
-    coin_spectra,
     coin_strings,
     markov_check,
     markov_fractions,
@@ -46,6 +49,7 @@ from qamg.spectra import (
     acceptance_operator,
     acceptance_operator_exact,
     eig_hermitian,
+    rejection_operator,
     rejection_operator_exact,
 )
 from qamg.amplification import threshold_count
@@ -87,6 +91,18 @@ def _random_instance(seed: int, s: int = 1) -> QamInstance:
     return QamInstance(s, family, 1, 2, Fraction(2, 3), Fraction(1, 3))
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestQamInstance:
     def test_validation(self):
         with pytest.raises(ValueError, match="cover"):
@@ -115,11 +131,14 @@ class TestCoinSpectra:
 
     def test_spectra_shapes_and_complement(self):
         inst = _random_instance(3, s=2)
-        spectra = coin_spectra(inst)
-        assert set(spectra) == set(coin_strings(2))
-        for y, spec in spectra.items():
-            assert np.all(np.diff(spec.accept) <= 1e-12)
-            assert np.abs(spec.accept + spec.reject - 1.0).max() <= 1e-12
+        for y in coin_strings(2):
+            accept = inst.coin_verifier(y).spectrum.eigenvalues
+            assert np.all(np.diff(accept) <= 1e-12)
+            assert 0.0 <= accept[-1] and accept[0] <= 1.0
+            # the rejection operator's spectrum is the acceptance spectrum reflected
+            reject = eig_hermitian(rejection_operator(inst.family[y], 1, 2)).eigenvalues
+            assert np.abs(accept + reject[::-1] - 1.0).max() <= 1e-12
+        assert inst.complement_gap() <= 1e-12
 
     def test_known_values(self):
         inst = QamInstance(
@@ -127,20 +146,40 @@ class TestCoinSpectra:
             {"0": _accept_circuit(), "1": _half_circuit()},
             1, 2, Fraction(2, 3), Fraction(1, 3),
         )
-        spectra = coin_spectra(inst)
-        assert np.allclose(spectra["0"].accept, [1.0, 1.0])
-        assert np.allclose(spectra["1"].accept, [0.5, 0.5])
+        assert np.allclose(inst.coin_verifier("0").spectrum.eigenvalues, [1.0, 1.0])
+        assert np.allclose(inst.coin_verifier("1").spectrum.eigenvalues, [0.5, 0.5])
 
-    def test_rejects_mismatched_pair(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            CoinSpectrum("0", np.array([1.0]), np.array([0.5]), np.eye(1))
+    def test_rejects_mismatched_pair(self, monkeypatch):
+        # a rejection operator off by 1e-6 shows up as the complement gap
+        inst = _random_instance(5, s=1)
+        build = qam.rejection_operator
+        monkeypatch.setattr(qam, "rejection_operator", lambda *a: build(*a) + 1e-6 * np.eye(2))
+        assert abs(inst.complement_gap() - 1e-6) <= 1e-12
+
+    def test_coin_verifier_carries_the_game(self):
+        inst = _random_instance(9, s=1)
+        verifier = inst.coin_verifier("1")
+        assert verifier.verifier is inst.family["1"]
+        assert (verifier.m, verifier.k, verifier.a, verifier.b) == (1, 2, inst.a, inst.b)
+        assert np.array_equal(verifier.q_operator(), acceptance_operator(inst.family["1"], 1, 2))
+
+    def test_built_once_per_distinct_circuit(self, monkeypatch):
+        inst = generate_instance("qam-bounded", 0, s=6, m=2, k=3, error="1/16")
+        accepts = _count_calls(monkeypatch, amplification, "acceptance_operator")
+        rejects = _count_calls(monkeypatch, qam, "rejection_operator")
+        solves = _count_calls(monkeypatch, amplification, "acceptance_spectrum")
+        assert len({id(inst.coin_verifier(y)) for y in inst.coins()}) == 2
+        optimal_qam_value(inst)
+        markov_check(inst, "yes")
+        inst.complement_gap()
+        # two distinct circuits among the 64 coins
+        assert (len(accepts), len(rejects), len(solves)) == (2, 2, 2)
 
 
 class TestQamValue:
     def test_optimal_eigenvector_strategy(self):
         inst = _random_instance(11, s=1)
-        spectra = coin_spectra(inst)
-        strategy = {y: spectra[y].vectors[:, 0] for y in inst.coins()}
+        strategy = {y: inst.coin_verifier(y).spectrum.vectors[:, 0] for y in inst.coins()}
         got = qam_value(inst, strategy)
         want = optimal_qam_value(inst)
         assert abs(got - want) <= 1e-10
@@ -228,10 +267,16 @@ class TestMultilinearF:
             multilinear_f([1.5], 1)
 
 
+def _clamped_top(q: np.ndarray) -> float:
+    return min(1.0, max(0.0, float(eig_hermitian(q).eigenvalues[0])))
+
+
 def _reference_repetition(inst: QamInstance, n: int, y_tuple) -> tuple[float, float]:
-    """One tuple's threshold tensor sum by an np.kron loop over accepted patterns."""
-    ops = [(np.eye(1 << inst.m) - q, q) for q in (inst.coin_spectrum(y)[0] for y in y_tuple)]
-    tops = [float(inst.coin_spectrum(y)[1].eigenvalues[0]) for y in y_tuple]
+    """One tuple's threshold tensor sum by an np.kron loop over accepted patterns,
+    and the multilinear tail of the per-round tops clamped to [0, 1]."""
+    qs = [inst.coin_verifier(y).q_operator() for y in y_tuple]
+    ops = [(np.eye(1 << inst.m) - q, q) for q in qs]
+    tops = [_clamped_top(q) for q in qs]
     t0 = threshold_count(n, inst.a, inst.b)
     total = 0
     for z in product((0, 1), repeat=n):
@@ -257,6 +302,24 @@ class TestParallelRepetition:
                 assert indep == ref_indep
         with pytest.raises(ValueError, match="round"):
             parallel_repetition_values(inst, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        s=st.integers(1, 2),
+        m=st.integers(1, 3),
+        k=st.integers(1, 3),
+        gates=st.integers(0, 16),
+    )
+    @example(seed=23, s=1, m=3, k=2, gates=12)  # a top eigenvalue that rounds to 1 + 2e-16
+    def test_independent_play_uses_clamped_tops(self, seed, s, m, k, gates):
+        inst = generate_instance("qam-random", seed, s=s, m=m, k=k, gates=gates)
+        tops = {y: _clamped_top(inst.coin_verifier(y).q_operator()) for y in inst.coins()}
+        lams, indep = parallel_repetition_values(inst, 2)
+        t0 = threshold_count(2, inst.a, inst.b)
+        for y_tuple, value in zip(product(inst.coins(), repeat=2), indep):
+            assert value == multilinear_f([tops[y] for y in y_tuple], t0)
+        assert np.abs(lams - indep).max() <= 1e-9
 
     def test_single_round_is_top_eigenvalue(self):
         inst = _random_instance(31, s=1)
@@ -293,10 +356,9 @@ class TestParallelRepetition:
 
     def test_tensor_sum_spectrum_is_f_on_lattice(self):
         inst = _random_instance(67, s=1)
-        spectra = coin_spectra(inst)
         lam, _ = parallel_repetition_value(inst, 2, ["0", "1"])
-        p0 = [float(v) for v in spectra["0"].accept]
-        p1 = [float(v) for v in spectra["1"].accept]
+        p0 = [float(v) for v in inst.coin_verifier("0").spectrum.eigenvalues]
+        p1 = [float(v) for v in inst.coin_verifier("1").spectrum.eigenvalues]
         grid = [
             float(multilinear_f([x, y], 1))
             for x in p0

@@ -22,9 +22,14 @@ from qamg.spectra import (
     acceptance_spectrum,
     assert_density,
     eig_hermitian,
-    max_acceptance,
     partial_trace,
 )
+
+
+def _top(q: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top clamped acceptance eigenvalue and its eigenvector."""
+    spec = acceptance_spectrum(q)
+    return float(spec.eigenvalues[0]), spec.vectors[:, 0]
 
 
 # complex rationals as (re, im) Fraction pairs; enough for a det oracle
@@ -166,7 +171,7 @@ class TestAcceptanceOperator:
         c = circuit(1)
         q = acceptance_operator(c, m=1, k=0)
         assert np.abs(q - np.diag([0.0, 1.0])).max() <= 1e-15
-        p1, witness = max_acceptance(q)
+        p1, witness = _top(q)
         assert p1 == 1.0
         assert abs(abs(witness[1]) - 1.0) <= 1e-12
 
@@ -174,7 +179,7 @@ class TestAcceptanceOperator:
         c = circuit(1, [hadamard(0)])
         q = acceptance_operator(c, m=1, k=0)
         assert np.abs(q - np.array([[0.5, -0.5], [-0.5, 0.5]])).max() <= 1e-15
-        p1, witness = max_acceptance(q)
+        p1, witness = _top(q)
         assert abs(p1 - 1.0) <= 1e-12
         probe = q @ witness
         assert np.linalg.norm(probe - witness) <= 1e-10
@@ -225,7 +230,7 @@ class TestAcceptanceOperator:
         gates = [hadamard(0), toffoli(2, 3, 0), ishift(1), hadamard(2), toffoli(1, 2, 0)]
         c = circuit(4, gates)
         q = acceptance_operator(c, m=2, k=2)
-        p1, _ = max_acceptance(q)
+        p1, _ = _top(q)
         samples = rng.normal(size=(200_000, 4)) + 1j * rng.normal(size=(200_000, 4))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         probs = np.einsum("si,ij,sj->s", samples.conj(), q, samples).real
@@ -234,7 +239,7 @@ class TestAcceptanceOperator:
 
     def test_dense_sampling_approaches_optimum_in_dim_2(self):
         q = acceptance_operator(circuit(1, [hadamard(0)]), m=1, k=0)
-        p1, _ = max_acceptance(q)
+        p1, _ = _top(q)
         rng = np.random.default_rng(29)
         samples = rng.normal(size=(1_000_000, 2)) + 1j * rng.normal(size=(1_000_000, 2))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
@@ -246,14 +251,12 @@ class TestAcceptanceOperator:
 class TestClamping:
     def test_clamps_within_tolerance(self):
         q = np.diag([1.0 + 5e-10, -3e-10])
-        p1, _ = max_acceptance(q)
-        assert p1 == 1.0
         spec = acceptance_spectrum(q)
         assert spec.eigenvalues[0] == 1.0 and spec.eigenvalues[1] == 0.0
 
     def test_rejects_beyond_tolerance(self):
         with pytest.raises(ValueError, match="outside"):
-            max_acceptance(np.diag([1.0 + 1e-6, 0.0]))
+            acceptance_spectrum(np.diag([1.0 + 1e-6, 0.0]))
         with pytest.raises(ValueError, match="outside"):
             acceptance_spectrum(np.diag([0.5, -1e-6]))
 
