@@ -31,7 +31,7 @@ from .circuits import (
     suffix_zero_mask,
     to_unitary,
 )
-from .exact import ExactScalar, plane_adjoint, plane_matmul, planes_from_scalars
+from .exact import plane_adjoint, plane_matmul
 from .spectra import (
     SpectralDecomposition,
     acceptance_operator,
@@ -112,7 +112,8 @@ class QmaInstance:
         u.flags.writeable = False
         return u
 
-    def q_operator_exact(self) -> list[list[ExactScalar]]:
+    def q_operator_exact(self) -> tuple[np.ndarray, int]:
+        """Exact acceptance operator as (4, d, d) integer planes and their exponent."""
         return acceptance_operator_exact(self.verifier, self.m, self.k)
 
 
@@ -465,7 +466,7 @@ def _diagonal_sum(planes: np.ndarray) -> int:
     diag = planes.diagonal(axis1=1, axis2=2)
     if (diag[1:] != 0).any():
         raise ValueError("acceptance operator diagonal must be rational")
-    return int(diag[0].sum())
+    return sum(diag[0].tolist())  # Python ints: d int64 entries may sum past 2^63
 
 
 def counting_certificate(inst: QmaInstance) -> GapCertificate:
@@ -543,7 +544,7 @@ def amplified_counting_certificate(inst: QmaInstance, r: int) -> GapCertificate:
     if g > _CERT_EXPONENT_CAP:
         raise ValueError(f"certificate exponent {g} exceeds cap {_CERT_EXPONENT_CAP}")
     coeffs = tail_polynomial_coefficients(n, threshold_count(n, inst.a, inst.b))
-    q, e = accepted_columns_exact(inst.verifier, inst.m, inst.k).gram_planes()
+    q, e = inst.q_operator_exact()
     # tr(Q^t) = traces[t] / 2^(t*e); one integer over 2^(n*e) holds the sum
     traces = _power_traces(q, n)
     total = sum(c * tr << (n - t) * e for t, (c, tr) in enumerate(zip(coeffs, traces)))
@@ -574,7 +575,7 @@ def mixed_state_acceptance(inst: QmaInstance, exact: bool = False):
     )
     avg = sum(block.project(output_one_mask(width)).norms_sq()) / dim
     if exact:
-        q, e = planes_from_scalars(inst.q_operator_exact())
+        q, e = inst.q_operator_exact()
         trace_route = Fraction(_diagonal_sum(q), 1 << e) / dim
         if trace_route != avg:
             raise AssertionError(f"exact routes disagree: {trace_route} vs {avg}")

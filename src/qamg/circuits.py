@@ -40,13 +40,13 @@ from .exact import (
     plane_adjoint,
     plane_matmul,
     planes_from_scalars,
-    scalars_from_planes,
 )
 
 FLOAT_WIDTH_CAP = 14
 EXACT_WIDTH_CAP = 10
 _UNITARY_WIDTH_CAP = 10
 _INT64_SAFE_BITS = 62
+GATE_CAP = 1 << 16  # gates per circuit text; `circuit(...)` is not capped
 
 _GATE_ARITY = {"H": 1, "S": 1, "T": 3}
 
@@ -154,6 +154,8 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if op == "qubits":
             raise CircuitParseError(line_no, "duplicate 'qubits' header")
+        if len(gates) == GATE_CAP:
+            raise CircuitParseError(line_no, f"more than {GATE_CAP} gates")
         arity = _GATE_ARITY.get(op)
         if arity is None:
             raise CircuitParseError(line_no, f"unknown gate {op!r}")
@@ -493,10 +495,6 @@ class StateVector:
         v = self._view(1 << self.n)
         return plane_matmul(plane_adjoint(v), v), 2 * self.exponent
 
-    def gram(self) -> list[list[ExactScalar]]:
-        """Exact Gram matrix of a block's columns: entry [i][j] is <col_i|col_j>."""
-        return scalars_from_planes(*self.gram_planes())
-
     def transform(self, planes: np.ndarray, exponent: int) -> StateVector:
         """A new exact block: the 2^n x 2^n matrix that `planes` hold at
         `exponent` applied to every column, as one plane product."""
@@ -578,9 +576,3 @@ def to_unitary(c: Circuit) -> np.ndarray:
 def exact_unitary(c: Circuit) -> StateVector:
     """The circuit's matrix as one exact block: column j is its image of |j>."""
     return apply_circuit(StateVector.columns(c.width, range(1 << c.width), exact=True), c)
-
-
-def to_exact_columns(c: Circuit) -> list[list[ExactScalar]]:
-    """Columns of the circuit's matrix as ExactScalar lists."""
-    block = exact_unitary(c)
-    return scalars_from_planes(block.planes.transpose(0, 2, 1), block.exponent)

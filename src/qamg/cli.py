@@ -1,7 +1,8 @@
 """Command-line front end: generate instances, run experiments, emit tables.
 
 Exit codes: 0 success, 1 experiment checks failed, 2 usage error,
-3 I/O error, 4 schema error, 5 width or work cap exceeded.
+3 I/O error, 4 schema error, 5 width or work cap exceeded, 6 internal error
+(any other exception, such as a failed kernel self-check).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
 EXIT_CAP = 5
+EXIT_INTERNAL = 6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,6 +158,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)  # repr keeps it one line
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

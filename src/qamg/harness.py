@@ -205,10 +205,12 @@ def instance_from_dict(data: dict) -> Instance:
                 raise SchemaError(
                     f"field 's' = {s} needs 2^s circuits, got {len(data['circuits'])}"
                 )
-            family = {
-                y: _parse_or_schema_error(text, f"circuits[{y!r}]")
-                for y, text in data["circuits"].items()
-            }
+            parsed: dict[str, Circuit] = {}  # coins with equal texts share one Circuit
+            family = {}
+            for y, text in data["circuits"].items():
+                if not isinstance(text, str) or text not in parsed:
+                    parsed[text] = _parse_or_schema_error(text, f"circuits[{y!r}]")
+                family[y] = parsed[text]
             return QamInstance(
                 s=s,
                 family=family,
@@ -358,7 +360,9 @@ def generate_instance(kind: str, seed: int, **params) -> Instance:
     """Deterministic seeded instance construction for the supported kinds.
 
     qma-p: target (rational), m, k; exact-by-construction spectrum.
-    qma-random / qam-random: random gate lists with conventional thresholds.
+    qma-random / qam-random: random gate lists with conventional thresholds;
+    the promise is not enforced (qma-random at seed 14, m=2, k=3 has top
+    eigenvalue exactly 1/2, between b=1/4 and a=3/4).
     qam-bounded: s, m, k, error; passes the 2/3-fraction precondition.
     qip-perfect: k, m; second transformation inverts the first then flips
     the output, so the honest value is exactly 1.

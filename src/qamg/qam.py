@@ -72,7 +72,7 @@ class QamInstance:
     def _verifiers(self) -> dict:
         # circuit -> QmaInstance; coins with equal circuits share one verifier
         return {circ: QmaInstance(circ, self.m, self.k, self.a, self.b)
-                for circ in self.family.values()}
+                for circ in dict.fromkeys(self.family.values())}
 
     def coin_verifier(self, y: str) -> QmaInstance:
         """Coin y's one-message verifier, with the game's arities and thresholds.

@@ -14,11 +14,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .circuits import Circuit, StateVector, apply_circuit, message_rows, output_one_mask
-from .exact import ExactScalar
 
 _EIG_DIM_CAP = 1 << 14
 _CLAMP_TOL = 1e-9  # how far outside [0, 1] an acceptance eigenvalue may round
-_DENSITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,6 @@ def _gram_operator(verifier: Circuit, m: int, k: int, outcome: int) -> np.ndarra
     return 0.5 * (q + q.conj().T)
 
 
-def _gram_operator_exact(
-    verifier: Circuit, m: int, k: int, outcome: int
-) -> list[list[ExactScalar]]:
-    return _message_columns(verifier, m, k, outcome, exact=True).gram()
-
-
 def accepted_columns_exact(verifier: Circuit, m: int, k: int) -> StateVector:
     """The exact block whose Gram matrix is the acceptance operator: the
     verifier on every message basis state, projected on acceptance."""
@@ -89,9 +81,9 @@ def acceptance_operator(verifier: Circuit, m: int, k: int) -> np.ndarray:
     return _gram_operator(verifier, m, k, 1)
 
 
-def acceptance_operator_exact(verifier: Circuit, m: int, k: int) -> list[list[ExactScalar]]:
-    """Exact acceptance operator; entry [i][j] is <col_i, col_j>."""
-    return _gram_operator_exact(verifier, m, k, 1)
+def acceptance_operator_exact(verifier: Circuit, m: int, k: int) -> tuple[np.ndarray, int]:
+    """Exact acceptance operator as (planes, exponent); entry [i][j] is <col_i, col_j>."""
+    return accepted_columns_exact(verifier, m, k).gram_planes()
 
 
 def rejection_operator(verifier: Circuit, m: int, k: int) -> np.ndarray:
@@ -99,8 +91,8 @@ def rejection_operator(verifier: Circuit, m: int, k: int) -> np.ndarray:
     return _gram_operator(verifier, m, k, 0)
 
 
-def rejection_operator_exact(verifier: Circuit, m: int, k: int) -> list[list[ExactScalar]]:
-    return _gram_operator_exact(verifier, m, k, 0)
+def rejection_operator_exact(verifier: Circuit, m: int, k: int) -> tuple[np.ndarray, int]:
+    return _message_columns(verifier, m, k, 0, exact=True).gram_planes()
 
 
 def _check_arities(verifier: Circuit, m: int, k: int) -> None:
@@ -145,16 +137,3 @@ def partial_trace(
             rho = np.trace(rho, axis1=i, axis2=i + (rho.ndim // 2))
     kept_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
     return rho.reshape(kept_dim, kept_dim)
-
-
-def assert_density(rho: np.ndarray) -> None:
-    """Validate Hermiticity, unit trace, and positive semidefiniteness."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if float(np.abs(rho - rho.conj().T).max(initial=0.0)) > _DENSITY_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(float(np.trace(rho).real) - 1.0) > _DENSITY_TOL:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    vals = eig_hermitian(rho).eigenvalues
-    if vals.size and vals[-1] < -_DENSITY_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[-1]}")

@@ -41,6 +41,7 @@ from qamg.circuits import (
     to_unitary,
     toffoli,
 )
+from qamg.exact import scalars_from_planes
 from qamg.harness import generate_instance
 from qamg.qam import (
     markov_check,
@@ -125,7 +126,7 @@ def test_criterion_01_trajectory_distribution_oracle():
                 failures.append(f"instance {i} pattern {z}: residual {gap:.2e}")
     # exact mode: a diagonal acceptance operator makes basis witnesses exact
     inst = generate_instance("qma-p", seed=0, target="3/4", m=1, k=3)
-    p = inst.q_operator_exact()[0][0].to_fraction()
+    p = scalars_from_planes(*inst.q_operator_exact())[0][0].to_fraction()
     dist = run_alternating_measurements(
         inst, StateVector.basis(1, 0, exact=True), 4, mode="enumerate"
     )
@@ -215,7 +216,8 @@ def test_criterion_04_counting_certificates():
     for i, inst in enumerate(instances):
         cert = counting_certificate(inst)
         trace = sum(
-            row[j].to_fraction() for j, row in enumerate(inst.q_operator_exact())
+            row[j].to_fraction()
+            for j, row in enumerate(scalars_from_planes(*inst.q_operator_exact()))
         )
         if cert.value != trace:
             failures.append(f"instance {i}: {cert.value} != {trace}")
@@ -270,7 +272,8 @@ def test_criterion_05_mixed_witness_reduction():
                 failures.append(f"case {i}: residual {gap:.2e}")
         exact_value = mixed_state_acceptance(inst, exact=True)
         exact_trace = sum(
-            row[j].to_fraction() for j, row in enumerate(inst.q_operator_exact())
+            row[j].to_fraction()
+            for j, row in enumerate(scalars_from_planes(*inst.q_operator_exact()))
         ) / (1 << inst.m)
         if exact_value != exact_trace:
             failures.append(f"case {i}: exact {exact_value} != {exact_trace}")

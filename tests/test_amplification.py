@@ -54,9 +54,9 @@ from qamg.amplification import (
     threshold_count,
     transition_frame,
 )
-from qamg.exact import INV_SQRT2, ONE, ZERO, ExactScalar, plane_matmul, planes_from_scalars
+from qamg.exact import INV_SQRT2, ONE, ZERO, ExactScalar, plane_matmul, scalars_from_planes
 from qamg.harness import generate_instance
-from qamg.spectra import eig_hermitian
+from qamg.spectra import acceptance_operator_exact, accepted_columns_exact, eig_hermitian
 
 
 def _one_branch_enumerate(inst: QmaInstance, witness: list, n_events: int) -> dict:
@@ -596,7 +596,7 @@ class TestCountingCertificate:
         g = inst.verifier.hadamard_count()
         assert cert.g == g
         assert cert.value == Fraction(1, 2)  # tr(I/4 on dim 2)
-        q = inst.q_operator_exact()
+        q = scalars_from_planes(*inst.q_operator_exact())
         diag_sum = sum(q[i][i].to_fraction() for i in range(2))
         assert cert.value == diag_sum
 
@@ -638,7 +638,8 @@ def _reference_amplified_certificate(inst: QmaInstance, r: int) -> tuple[int, in
     n = amplify_preserving_witness(inst, r).n_events
     g = n * inst.verifier.hadamard_count()
     coeffs = _reference_tail_coefficients(n, threshold_count(n, inst.a, inst.b))
-    q, e = planes_from_scalars(inst.q_operator_exact())
+    q, e = inst.q_operator_exact()
+    q = q.astype(object)  # Python-int products, apart from the BLAS path
     trace = Fraction(coeffs[0]) * q.shape[1]
     power = q  # Q^t at exponent t*e
     for t in range(1, n + 1):
@@ -661,12 +662,13 @@ class TestPowerSumCertificate:
     def test_power_traces_match_direct_powers(self):
         for m, k, seed in ((0, 2, 1), (1, 2, 2), (2, 2, 3), (3, 1, 4)):
             inst = generate_instance("qma-random", seed, m=m, k=k)
-            q, _ = planes_from_scalars(inst.q_operator_exact())
+            q, _ = inst.q_operator_exact()
+            ref = q.astype(object)  # Python-int products, apart from the BLAS path
             d = q.shape[1]
-            direct, power = [d], q
+            direct, power = [d], ref
             for t in range(1, 2 * d + 3):
                 direct.append(int(power.diagonal(axis1=1, axis2=2)[0].sum()))
-                power = plane_matmul(power, q)
+                power = plane_matmul(power, ref)
             for n in range(0, 2 * d + 3):  # n < d, n = d and n > d
                 assert _power_traces(q, n) == direct[:n + 1]
 
@@ -730,6 +732,31 @@ class TestMixedStateAcceptance:
         val = mixed_state_acceptance(inst)  # asserts the two routes agree
         q = inst.q_operator()
         assert abs(val - np.trace(q).real / 4) <= 1e-12
+
+
+class TestSingleExactBuilder:
+    def test_each_exact_route_builds_q_once(self, monkeypatch):
+        calls, build = [], amplification.acceptance_operator_exact
+        monkeypatch.setattr(
+            amplification, "acceptance_operator_exact", lambda *a: calls.append(a) or build(*a)
+        )
+        inst = _quarter_instance()
+        amplified_counting_certificate(inst, 1)
+        assert len(calls) == 1
+        mixed_state_acceptance(inst, exact=True)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("kind, params", [
+        ("qma-p", {"target": "1/2", "m": 1, "k": 3}),
+        ("qma-random", {"m": 2, "k": 3}),
+        ("qma-random", {"m": 4, "k": 5}),
+    ])
+    def test_operator_is_the_accepted_gram(self, kind, params):
+        inst = generate_instance(kind, 0, **params)
+        q, e = acceptance_operator_exact(inst.verifier, inst.m, inst.k)
+        want, want_e = accepted_columns_exact(inst.verifier, inst.m, inst.k).gram_planes()
+        assert q.shape == (4, 1 << inst.m, 1 << inst.m)
+        assert e == want_e and q.dtype == want.dtype and (q == want).all()
 
 
 class TestTransitionFrame:

@@ -19,6 +19,7 @@ from qamg.circuits import (
     circuit,
     cnot_gates,
     dagger,
+    exact_unitary,
     hadamard,
     ishift,
     measure_projector,
@@ -32,10 +33,9 @@ from qamg.circuits import (
     swap_gates,
     toffoli,
     to_unitary,
-    to_exact_columns,
     x_gates,
 )
-from qamg.exact import I_UNIT, INV_SQRT2, ONE, ZERO, ExactScalar
+from qamg.exact import I_UNIT, INV_SQRT2, ONE, ZERO, ExactScalar, scalars_from_planes
 from qamg.spectra import acceptance_operator_exact
 
 INV_SQRT2_F = 1.0 / np.sqrt(2.0)
@@ -241,7 +241,8 @@ def test_unitarity_exact_random_circuits():
         width = rng.randint(1, 5)
         c = _random_circuit(rng, width, 30)
         round_trip = circuit(width, list(c.gates) + list(dagger(c).gates))
-        cols = to_exact_columns(round_trip)
+        u = exact_unitary(round_trip)
+        cols = scalars_from_planes(u.planes.transpose(0, 2, 1), u.exponent)
         for j, col in enumerate(cols):
             assert all(a == (ONE if i == j else ZERO) for i, a in enumerate(col))
 
@@ -392,4 +393,4 @@ def test_object_dtype_gram_matches_scalar_reference():
         [sum((a.conj() * b for a, b, keep in zip(ci, cj, mask) if keep), ZERO) for cj in cols]
         for ci in cols
     ]
-    assert acceptance_operator_exact(c, 1, 2) == want
+    assert scalars_from_planes(*acceptance_operator_exact(c, 1, 2)) == want

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
+import qamg.circuits as circuits
 import qamg.cli as cli
 import qamg.harness as harness
 import qamg.qam as qam
 from qamg.amplification import QmaInstance, counting_certificate
-from qamg.circuits import WidthCapError
+from qamg.circuits import GATE_CAP, WidthCapError, circuit, parse_circuit
 from qamg.cli import main
 from qamg.harness import (
     GENERATOR_KINDS,
@@ -116,6 +117,21 @@ class TestInstanceJson:
         data = instance_to_dict(generate_instance("qam-random", seed=0, **KIND_PARAMS["qam-random"]))
         data["circuits"] = ["not", "a", "dict"]
         with pytest.raises(SchemaError):
+            instance_from_dict(data)
+
+    def test_qam_equal_texts_share_one_circuit(self):
+        data = instance_to_dict(generate_instance("qam-bounded", 0, **KIND_PARAMS["qam-bounded"]))
+        text = data["circuits"]["00"]
+        data["circuits"] = {"00": text, "01": text, "10": text + "# same gates\n", "11": text}
+        family = instance_from_dict(data).family
+        assert family["00"] is family["01"] is family["11"]
+        assert family["10"] == family["00"] and family["10"] is not family["00"]
+        # a malformed text is reported at the first coin that carries it
+        data["circuits"] = {"00": text, "01": "qubits 0\n", "10": text, "11": "qubits 0\n"}
+        with pytest.raises(SchemaError, match=r"circuits\['01'\]"):
+            instance_from_dict(data)
+        data["circuits"] = {"00": text, "01": ["H 0"], "10": text, "11": ["H 0"]}
+        with pytest.raises(SchemaError, match=r"circuits\['01'\].*circuit text"):
             instance_from_dict(data)
 
     @pytest.mark.parametrize("field, value", [("m", 1.9), ("k", True), ("m", "1")])
@@ -474,6 +490,29 @@ class TestCli:
             arity = tmp_path / f"arity-{field}.json"
             arity.write_text(json.dumps(dict(data, **{field: value})))
             assert main(["run", "--instance", str(arity), "--mode", "enumerate"]) == 4
+
+    def test_gate_cap_exit_four(self, tmp_path, monkeypatch, capsys):
+        data = instance_to_dict(QmaInstance(circuit(1), 1, 0, Fraction(2, 3), Fraction(1, 3)))
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(dict(data, circuit="qubits 1\n" + "S 0\n" * (GATE_CAP + 1))))
+        assert main(["run", "--instance", str(path), "--mode", "analytic"]) == 4
+        assert f"line {GATE_CAP + 2}: more than {GATE_CAP} gates" in capsys.readouterr().err
+        monkeypatch.setattr(circuits, "GATE_CAP", 2)  # a text of exactly the cap still parses
+        assert len(parse_circuit("qubits 1\nS 0\nS 0\n")) == 2
+
+    def test_internal_error_exit_six(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "qmam.json")
+        assert main(["gen", "--kind", "qip-no", "--k", "2", "--m", "1", "--coins", "1",
+                     "--seed", "0", "--out", path]) == 0
+
+        def broken(*args, **kwargs):
+            raise AssertionError("see-saw value decreased")
+
+        monkeypatch.setattr(harness, "optimize_cheating", broken)
+        capsys.readouterr()
+        assert main(["run", "--instance", path, "--mode", "sample", "--restarts", "2"]) == 6
+        err = capsys.readouterr().err
+        assert err == "internal error: AssertionError('see-saw value decreased')\n"
 
     def test_width_cap_exit_five(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QAMG_WIDTH_CAP", "2")

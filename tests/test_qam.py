@@ -53,7 +53,7 @@ from qamg.spectra import (
     rejection_operator_exact,
 )
 from qamg.amplification import threshold_count
-from qamg.exact import ExactScalar
+from qamg.exact import ExactScalar, scalars_from_planes
 
 
 def _accept_circuit():
@@ -122,8 +122,8 @@ class TestCoinSpectra:
         for circ in (_accept_circuit(), _half_circuit(), _random_circuit(7)):
             one = ExactScalar.from_int(1)
             zero = ExactScalar.from_int(0)
-            q1 = acceptance_operator_exact(circ, 1, 2)
-            q0 = rejection_operator_exact(circ, 1, 2)
+            q1 = scalars_from_planes(*acceptance_operator_exact(circ, 1, 2))
+            q0 = scalars_from_planes(*rejection_operator_exact(circ, 1, 2))
             for i in range(2):
                 for j in range(2):
                     expected = one if i == j else zero
@@ -155,6 +155,14 @@ class TestCoinSpectra:
         build = qam.rejection_operator
         monkeypatch.setattr(qam, "rejection_operator", lambda *a: build(*a) + 1e-6 * np.eye(2))
         assert abs(inst.complement_gap() - 1e-6) <= 1e-12
+
+    def test_one_verifier_per_distinct_circuit(self, monkeypatch):
+        one, half = _accept_circuit(), _half_circuit()
+        family = {y: one if y[0] == "0" else half for y in coin_strings(3)}
+        inst = QamInstance(3, family, 1, 2, Fraction(2, 3), Fraction(1, 3))
+        builds = _count_calls(monkeypatch, qam, "QmaInstance")
+        assert inst.coin_verifier("111") is inst.coin_verifier("100")
+        assert [args[0] for args in builds] == [one, half]
 
     def test_coin_verifier_carries_the_game(self):
         inst = _random_instance(9, s=1)

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from qamg.circuits import circuit, hadamard, ishift, to_unitary, toffoli
+from qamg.exact import scalars_from_planes
 from qamg.spectra import (
     acceptance_operator,
     acceptance_operator_exact,
     acceptance_spectrum,
-    assert_density,
     eig_hermitian,
     partial_trace,
 )
@@ -211,7 +211,7 @@ class TestAcceptanceOperator:
                     gates.append(toffoli(int(qs[0]), int(qs[1]), int(qs[2])))
             c = circuit(4, gates)
             q_float = acceptance_operator(c, m=2, k=2)
-            q_exact = acceptance_operator_exact(c, m=2, k=2)
+            q_exact = scalars_from_planes(*acceptance_operator_exact(c, m=2, k=2))
             for i in range(4):
                 diag = q_exact[i][i]
                 assert diag.is_rational()
@@ -307,19 +307,3 @@ class TestPartialTrace:
             partial_trace(np.ones(4) / 2.0, keep=[2], dims=[2, 2])
         with pytest.raises(ValueError, match="shape"):
             partial_trace(np.ones((4, 2)), keep=[0], dims=[2, 2])
-
-
-class TestAssertDensity:
-    def test_accepts_valid(self):
-        assert_density(0.5 * np.eye(2))
-        assert_density(np.diag([1.0, 0.0, 0.0]))
-
-    def test_rejects_invalid(self):
-        with pytest.raises(ValueError, match="trace"):
-            assert_density(np.eye(2))
-        with pytest.raises(ValueError, match="Hermitian"):
-            assert_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
-        with pytest.raises(ValueError, match="negative"):
-            assert_density(np.diag([1.5, -0.5]))
-        with pytest.raises(ValueError, match="square"):
-            assert_density(np.ones((2, 3)))
