@@ -44,6 +44,7 @@ from .exact import (
 
 FLOAT_WIDTH_CAP = 14
 EXACT_WIDTH_CAP = 10
+WIDTH_CAP_MAX = 20  # largest QAMG_WIDTH_CAP; one 2^20-amplitude float column is 16 MB
 _UNITARY_WIDTH_CAP = 10
 _INT64_SAFE_BITS = 62
 GATE_CAP = 1 << 16  # gates per circuit text; `circuit(...)` is not capped
@@ -70,8 +71,8 @@ def width_cap(exact: bool) -> int:
             cap = int(raw)
         except ValueError as exc:
             raise ValueError(f"QAMG_WIDTH_CAP must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ValueError(f"QAMG_WIDTH_CAP must be positive, got {cap}")
+        if not 1 <= cap <= WIDTH_CAP_MAX:
+            raise ValueError(f"QAMG_WIDTH_CAP must be from 1 to {WIDTH_CAP_MAX}, got {cap}")
         return cap
     return EXACT_WIDTH_CAP if exact else FLOAT_WIDTH_CAP
 

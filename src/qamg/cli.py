@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .circuits import WidthCapError
+from .circuits import WidthCapError, width_cap
 from .harness import (
     ExperimentConfig,
     GENERATOR_KINDS,
@@ -138,6 +138,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if args.command != "table":
+            width_cap(exact=False)  # a bad QAMG_WIDTH_CAP exits 2 before any instance work
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "run":

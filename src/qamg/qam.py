@@ -70,9 +70,17 @@ class QamInstance:
 
     @cached_property
     def _verifiers(self) -> dict:
-        # circuit -> QmaInstance; coins with equal circuits share one verifier
-        return {circ: QmaInstance(circ, self.m, self.k, self.a, self.b)
-                for circ in dict.fromkeys(self.family.values())}
+        # coin -> QmaInstance; coins with equal circuits share one verifier.  Keyed
+        # by coin, a lookup hashes a short string, and each circuit's gate tuple
+        # is hashed here only.
+        shared: dict = {}
+        by_coin = {}
+        for y, circ in self.family.items():
+            verifier = shared.get(circ)
+            if verifier is None:
+                verifier = shared[circ] = QmaInstance(circ, self.m, self.k, self.a, self.b)
+            by_coin[y] = verifier
+        return by_coin
 
     def coin_verifier(self, y: str) -> QmaInstance:
         """Coin y's one-message verifier, with the game's arities and thresholds.
@@ -81,14 +89,15 @@ class QamInstance:
         spectrum are the `QmaInstance` ones, built on first use and shared
         by every coin with the same circuit.
         """
-        return self._verifiers[self.family[y]]
+        return self._verifiers[y]
 
     def complement_gap(self) -> float:
         """Largest entry of |Q0 + Q1 - I| over the distinct coin circuits."""
         eye = np.eye(1 << self.m)
+        distinct = {id(v): v for v in self._verifiers.values()}.values()
         gaps = (
-            np.abs(rejection_operator(circ, self.m, self.k) + verifier.q_operator() - eye).max()
-            for circ, verifier in self._verifiers.items()
+            np.abs(rejection_operator(v.verifier, self.m, self.k) + v.q_operator() - eye).max()
+            for v in distinct
         )
         return float(max(gaps))
 

@@ -177,15 +177,31 @@ class QipInstance:
         u.flags.writeable = False
         return u
 
-    def lambda_tails(self) -> np.ndarray:
-        """Test operator for tails: undo the first transformation, check zeros."""
+    @cached_property
+    def _lambda_tails(self) -> np.ndarray:
         delta = prefix_zero_mask(self.v1.width, self.k).astype(np.complex128)
-        return (self.u1 * delta) @ self.u1.conj().T
+        lam = (self.u1 * delta) @ self.u1.conj().T
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
+    def _lambda_heads(self) -> np.ndarray:
+        pi = output_one_mask(self.v2.width).astype(np.complex128)
+        lam = (self.u2.conj().T * pi) @ self.u2
+        lam.flags.writeable = False
+        return lam
+
+    def lambda_tails(self) -> np.ndarray:
+        """Test operator for tails: undo the first transformation, check zeros.
+
+        Built on first use; shared, so read-only."""
+        return self._lambda_tails
 
     def lambda_heads(self) -> np.ndarray:
-        """Test operator for heads: finish the verification, check the output."""
-        pi = output_one_mask(self.v2.width).astype(np.complex128)
-        return (self.u2.conj().T * pi) @ self.u2
+        """Test operator for heads: finish the verification, check the output.
+
+        Built on first use; shared, so read-only."""
+        return self._lambda_heads
 
 
 def soundness_bound(base: QipInstance) -> float:
@@ -257,14 +273,16 @@ class OptimizationResult:
 
 
 def _polar_align(c: np.ndarray) -> np.ndarray:
-    """Unitary U maximizing Re tr(U C), for C or each C of a (..., r, d) stack.
+    """Unitary U maximizing Re tr(U C), for C or each C of a (..., r, d) stack, r <= d.
 
     For a wide r x d block C_r of C = Q C_r (Q with r orthonormal columns),
     returns the d x r block U Q = Z W^H of every maximizer, from the thin
-    SVD C_r = W S Z^H.
+    SVD C_r = W S Z^H.  The SVD is taken of the r x r factor of the thin QR
+    C_r^H = P R: with R^H = W S X^H, Z = P X, so the block is P (W X^H)^H.
     """
-    v, _, wh = np.linalg.svd(c, full_matrices=False)
-    return (v @ wh).conj().swapaxes(-1, -2)
+    p, r = np.linalg.qr(c.conj().swapaxes(-1, -2))
+    w, _, xh = np.linalg.svd(r.conj().swapaxes(-1, -2))
+    return p @ (w @ xh).conj().swapaxes(-1, -2)
 
 
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:
@@ -274,13 +292,18 @@ def _complete_unitary(cols: np.ndarray) -> np.ndarray:
     return full
 
 
+def _dot_squares(rows: np.ndarray) -> np.ndarray:
+    """(..., 1, 1) squared norms of a (..., 1, n) stack, each from one real dot pair."""
+    re, im = rows.real, rows.imag
+    return re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+
+
 def _dot_norms(rows: np.ndarray) -> np.ndarray:
     """(..., 1, 1) norms of a (..., 1, n) stack, each rounded as numpy.linalg.norm rounds it.
 
     A polar step on a rank-deficient C turns one ulp into another see-saw path.
     """
-    re, im = rows.real, rows.imag
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+    return np.sqrt(_dot_squares(rows))
 
 
 def _seesaw_cheat(
@@ -292,7 +315,8 @@ def _seesaw_cheat(
     P0^T = Q R, every iterate is P = A Q^T: the state step only mixes
     T_y conj(U_y) = T_y conj(V_y) Q^T, because the unitary step aligns
     V_y = U_y Q with the rows of T_y.  So each step is one stacked call on the
-    A (2^k x r) and V_y (du x r), r = min(2^k, du), of the running starts.
+    A (2^k x r) and V_y (du x r), r = min(2^k, du), of the running starts,
+    which the loop carries and writes back only when a start stops.
     Returns values, convergence flags, iteration counts and a strategy builder.
     """
     coins = game.coins()
@@ -304,36 +328,44 @@ def _seesaw_cheat(
     vs = np.stack([[q if u is None else u[y] @ q for y in coins] for q, u in zip(q_basis, u0)])
     values, converged = np.full(len(psi0), -1.0), np.zeros(len(psi0), dtype=bool)
     iterations, live = np.full(len(psi0), max_iters), np.arange(len(psi0))
+    a, v, value = a_mat.copy(), vs.copy(), values.copy()
     for it in range(1, max_iters + 1):
-        a, v = a_mat[live], vs[live]
         # target step: project each moved state onto its accepting subspace
         moved = (a[:, None] @ v.swapaxes(2, 3)).reshape(*v.shape[:2], lambdas.shape[1], -1)
         projected = (lambdas @ moved).reshape(*v.shape[:2], 1, -1)
-        overlaps = (moved.reshape(projected.shape).conj() @ projected.swapaxes(2, 3)).real
-        new_value = sum(weight * overlaps[:, i, 0, 0] for i in range(len(coins)))
-        norms = _dot_norms(projected)
-        old = values[live]
+        # each Lambda_y is a projector: <moved, Lambda_y moved> = ||Lambda_y moved||^2
+        squares = _dot_squares(projected)
+        new_value = weight * squares.sum(axis=(1, 2, 3))
+        old = value
         if np.any(new_value < old - 1e-9):
             raise AssertionError(f"see-saw value decreased: {old} -> {new_value}")
-        values[live] = np.maximum(new_value, old)
-        # a start stops once it gains at most tol, or when none of its targets is left
-        done = (new_value <= old + tol) | ~np.any(norms > 1e-150, axis=(1, 2, 3))
-        converged[live[done]], iterations[live[done]] = True, it
-        live, a, v, projected, norms = (x[~done] for x in (live, a, v, projected, norms))
-        if not len(live):
-            break
-        # a dead target divides to zero, keeping its response and leaving the state step
+        value, norms = np.maximum(new_value, old), np.sqrt(squares)
         alive = norms > 1e-150
+        # a start stops once it gains at most tol, or when none of its targets is left
+        done = (new_value <= old + tol) | ~alive.any(axis=(1, 2, 3))
+        if done.any():
+            stopped = live[done]
+            converged[stopped], iterations[stopped] = True, it
+            values[stopped], a_mat[stopped], vs[stopped] = value[done], a[done], v[done]
+            live, a, v, value, projected, norms, alive = (
+                x[~done] for x in (live, a, v, value, projected, norms, alive)
+            )
+            if not len(live):
+                break
+        # a dead target divides to zero, keeping its response and leaving the state step
         targets = (projected / np.where(alive, norms, np.inf)).reshape(*v.shape[:2], a.shape[1], -1)
         # unitary step: best alignment of each state with each live target
-        v = vs[live] = np.where(alive, _polar_align(a.swapaxes(1, 2)[:, None] @ targets.conj()), v)
+        v = np.where(alive, _polar_align(a.swapaxes(1, 2)[:, None] @ targets.conj()), v)
         # state step: top eigenvector of each rank-|coins| induced operator
         b = (targets @ v.conj()).reshape(len(live), len(coins), -1).swapaxes(1, 2)
         b = np.ascontiguousarray(b) * math.sqrt(weight)  # row-major b rounds as one start's
         candidate = (b @ eig_hermitian(b.conj().swapaxes(1, 2) @ b).vectors[..., :1])[..., 0]
         norm = _dot_norms(candidate[:, None])[:, 0]
-        grown = norm[:, 0] > 1e-150
-        a_mat[live[grown]] = (candidate[grown] / norm[grown]).reshape(-1, *a.shape[1:])
+        grown = norm > 1e-150
+        kept = a.reshape(len(live), -1)
+        a = np.where(grown, candidate / np.where(grown, norm, np.inf), kept).reshape(a.shape)
+    # starts still running after max_iters
+    values[live], a_mat[live], vs[live] = value, a, v
 
     def strategy(i: int) -> MerlinStrategy:
         """Start i's full strategy; each U_y maps Q's complement onto V_y's."""

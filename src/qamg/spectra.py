@@ -41,7 +41,7 @@ def eig_hermitian(matrix: Union[np.ndarray, Sequence[Sequence[complex]]]) -> Spe
     Hermitian checks as a single one, and all are solved in one
     `numpy.linalg.eigh` call.
     """
-    h = np.array(matrix, dtype=np.complex128)
+    h = np.asarray(matrix, dtype=np.complex128)  # only read; the solve takes a symmetrized copy
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     n = h.shape[-1]

@@ -13,6 +13,7 @@ from qamg.circuits import (
     CircuitParseError,
     Gate,
     StateVector,
+    WIDTH_CAP_MAX,
     WidthCapError,
     apply_circuit,
     apply_gates,
@@ -33,6 +34,7 @@ from qamg.circuits import (
     swap_gates,
     toffoli,
     to_unitary,
+    width_cap,
     x_gates,
 )
 from qamg.exact import I_UNIT, INV_SQRT2, ONE, ZERO, ExactScalar, scalars_from_planes
@@ -288,6 +290,15 @@ def test_width_cap_enforced(monkeypatch):
     assert st14.n == 11
     with pytest.raises(WidthCapError):
         StateVector.basis(11, 0, exact=True)
+
+
+def test_width_cap_override_has_a_maximum(monkeypatch):
+    monkeypatch.setenv("QAMG_WIDTH_CAP", str(WIDTH_CAP_MAX))
+    assert width_cap(False) == width_cap(True) == WIDTH_CAP_MAX
+    for raw in ("0", str(WIDTH_CAP_MAX + 1)):
+        monkeypatch.setenv("QAMG_WIDTH_CAP", raw)
+        with pytest.raises(ValueError, match=f"from 1 to {WIDTH_CAP_MAX}"):
+            width_cap(False)
 
 
 def test_width_cap_checked_before_any_allocation():

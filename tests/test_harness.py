@@ -19,7 +19,7 @@ import qamg.cli as cli
 import qamg.harness as harness
 import qamg.qam as qam
 from qamg.amplification import QmaInstance, counting_certificate
-from qamg.circuits import GATE_CAP, WidthCapError, circuit, parse_circuit
+from qamg.circuits import GATE_CAP, WIDTH_CAP_MAX, WidthCapError, circuit, parse_circuit
 from qamg.cli import main
 from qamg.harness import (
     GENERATOR_KINDS,
@@ -545,6 +545,17 @@ class TestCli:
         assert main(["run", "--instance", qmam, "--mode", "sample",
                      "--restarts", str((1 << 14) + 1)]) == 5
         assert "work cap" in capsys.readouterr().err
+
+    def test_width_cap_past_its_maximum_exits_two(self, tmp_path, capsys, monkeypatch):
+        qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])  # width 3
+        self._forbid_work(monkeypatch)
+        monkeypatch.setenv("QAMG_WIDTH_CAP", str(WIDTH_CAP_MAX + 1))
+        assert main(["run", "--instance", qma, "--mode", "analytic"]) == 2
+        out = tmp_path / "gen.json"
+        assert main(["gen", "--kind", "qma-random", "--seed", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count(f"QAMG_WIDTH_CAP must be from 1 to {WIDTH_CAP_MAX}") == 2
 
     def test_nonpositive_counts_exit_two(self, tmp_path, capsys, monkeypatch):
         qma = _saved(tmp_path, "qma-random", **KIND_PARAMS["qma-random"])

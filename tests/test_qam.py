@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qamg.circuits import (
+    Circuit,
     StateVector,
     apply_circuit,
     circuit,
@@ -163,6 +164,13 @@ class TestCoinSpectra:
         builds = _count_calls(monkeypatch, qam, "QmaInstance")
         assert inst.coin_verifier("111") is inst.coin_verifier("100")
         assert [args[0] for args in builds] == [one, half]
+
+    def test_coin_lookups_hash_no_circuit(self, monkeypatch):
+        inst = generate_instance("qam-bounded", 0, s=6, m=2, k=3, error="1/16")
+        markov_check(inst, "yes")
+        hashes = _count_calls(monkeypatch, Circuit, "__hash__")
+        markov_check(inst, "yes")
+        assert hashes == []
 
     def test_coin_verifier_carries_the_game(self):
         inst = _random_instance(9, s=1)

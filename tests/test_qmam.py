@@ -5,12 +5,14 @@ reduce to single pure states), message-spectator gadgets reduce to a small
 eigenvalue problem, product strategies must square the single-shot value
 under two-fold repetition, and every start of the batched reduced-rank
 see-saws must retrace, or reach the optimum of, full-unitary see-saws kept
-here as references.
+here as references.  The polar step must reach the sum of singular values
+that `numpy.linalg.svd` reports, at every rank.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +51,14 @@ from qamg.qmam import (
     translate_honest,
     uhlmann_bound_check,
 )
-from qamg.qmam import _apply_first, _apply_last, _dot_norms, _seesaw_cheat, _seesaw_confined
+from qamg.qmam import (
+    _apply_first,
+    _apply_last,
+    _dot_norms,
+    _polar_align,
+    _seesaw_cheat,
+    _seesaw_confined,
+)
 from qamg.spectra import eig_hermitian, partial_trace
 
 
@@ -246,6 +255,15 @@ class TestInstances:
         for lam in (tails, heads):
             assert np.abs(lam @ lam - lam).max() < 1e-9
             assert np.abs(lam - lam.conj().T).max() < 1e-9
+
+    def test_lambdas_build_once_read_only(self):
+        base = _random_base(1, 1, seed=6)
+        for build in (base.lambda_tails, base.lambda_heads):
+            lam = build()
+            assert build() is lam
+            assert not lam.flags.writeable
+            with pytest.raises(ValueError):
+                lam[0, 0] = 0
 
     def test_trivial_lambdas_are_masks(self):
         base = QipInstance(v1=circuit(2), v2=circuit(2), k=1, m=1, epsilon=Fraction(0))
@@ -446,6 +464,26 @@ def _reference_seesaw(game, psi0, u0, tol, max_iters):
         if norm > 1e-150:
             psi = candidate / norm
     return value, psi, us, False, max_iters
+
+
+class TestPolarAlign:
+    @pytest.mark.parametrize("r, d", [(8, 32), (4, 16), (4, 4)])
+    def test_isometry_reaching_the_trace_norm(self, r, d):
+        """At every rank 0..r: an isometry U with Re tr(U C) the sum of C's singular values."""
+        rng = np.random.Generator(np.random.Philox(key=r * d))
+
+        def gauss(rows, cols):
+            return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+        stack = np.stack([gauss(r, rank) @ gauss(rank, d) for rank in range(r + 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aligned = _polar_align(stack)
+        assert aligned.shape == (r + 1, d, r)
+        for rank, (c, u) in enumerate(zip(stack, aligned)):
+            assert np.abs(u.conj().T @ u - np.eye(r)).max() < 1e-12, rank
+            total = np.linalg.svd(c, compute_uv=False).sum()
+            assert abs(np.trace(u @ c).real - total) <= 1e-12 * total, rank
 
 
 class TestReducedSeesaw:
